@@ -9,10 +9,13 @@ Environment knobs:
 
 * ``REPRO_BENCH_SCALE`` — tiny (default) / small / medium. The scale used
   for EXPERIMENTS.md is small.
-* ``REPRO_JOBS`` — when > 1, the shared context is prewarmed by fanning
-  the full figure grid over that many worker processes before the first
-  bench runs; results are bit-identical to the serial path (the benches
-  then measure the same warm-cache reductions either way).
+* ``REPRO_JOBS`` — worker count for the prewarm (default 1, serial).
+  The shared context is always prewarmed with the full figure grid
+  through the supervised runner before the first bench runs, so even a
+  serial session builds each workload's trace once rather than once
+  per config; with more than one worker the grid fans out over that
+  many processes. Results are bit-identical either way (the benches
+  then measure the same warm-cache reductions).
 * ``REPRO_BENCH_JSON`` — where the machine-readable timing summary is
   written at session end (default: ``BENCH_hotpath.json`` in the repo
   root). The summary carries the session wall-clock, the simulations
@@ -91,9 +94,8 @@ def shared_context() -> ExperimentContext:
     name = bench_scale_name()
     if name not in _CONTEXTS:
         ctx = ExperimentContext(scale=SCALES[name])
-        jobs = resolve_jobs(None)
-        if jobs > 1:
-            ParallelRunner(ctx, jobs=jobs).prewarm_experiments(_BENCH_DRIVERS)
+        ParallelRunner(ctx, jobs=resolve_jobs(None)).prewarm_experiments(
+            _BENCH_DRIVERS)
         _CONTEXTS[name] = ctx
     return _CONTEXTS[name]
 

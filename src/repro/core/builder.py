@@ -14,6 +14,15 @@ single-entry cache: one workload+scale resident at a time, so memory
 stays bounded at one trace set). Slices and their ops are frozen
 dataclasses and every consumer treats the slice lists as read-only, so
 sharing them across runs cannot change results.
+
+A single entry only hits when runs of one workload are consecutive.
+Sweep drivers request cells config-major, so the supervised harness
+(:mod:`repro.harness.supervisor`) dispatches them workload-major: each
+executing process builds a workload's trace once per sweep. Since the
+memo then hits, a run allocates too little to trigger the full
+collections that used to free dead systems (cyclic garbage), so the
+harness releases each run's heap itself
+(:func:`repro.harness.parallel._execute_measured`).
 """
 
 from __future__ import annotations

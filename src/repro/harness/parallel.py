@@ -37,8 +37,10 @@ Worker count resolution: an explicit ``jobs`` argument wins, then the
 
 from __future__ import annotations
 
+import gc
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -93,6 +95,34 @@ def _execute_task(task: RunTask, scale: WorkloadScale) -> RunResult:
     )
 
 
+@contextmanager
+def _released_heap():
+    """Free everything the enclosed task left as cyclic garbage on exit.
+
+    A finished :class:`~repro.gpu.system.NumaGpuSystem` is a large web of
+    reference cycles (prebound engine stages, walkers, sockets), so only
+    the cyclic collector can free it. Once the trace memo hits, a task
+    allocates little outside the GC-paused engine drain, and dead systems
+    would pile up waiting for a rare full collection. The pre-task heap
+    (the memoized trace above all) is frozen for the task, so the closing
+    collection walks only objects the task created; a caller that froze
+    objects of its own is left alone and gets a plain full collection.
+    """
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        yield
+    finally:
+        try:
+            gc.collect()
+        finally:
+            # Even a timeout signal landing mid-collection must thaw the
+            # heap, or it would stay invisible to the collector for good.
+            if freeze:
+                gc.unfreeze()
+
+
 def _execute_measured(
     task: RunTask, scale: WorkloadScale,
 ) -> "tuple[RunResult, dict]":
@@ -105,12 +135,14 @@ def _execute_measured(
     result pipe so the parent can absorb worker-side run totals and
     build the study's worker-utilization timeline (see
     :mod:`repro.harness.supervisor` and DESIGN.md, "Observability
-    contract").
+    contract"). The span includes releasing the task's heap
+    (:func:`_released_heap`), so no dead system outlives its task.
     """
     before = (SIM_TALLY.runs, SIM_TALLY.events, SIM_TALLY.cycles,
               SIM_TALLY.wall_seconds)
     t_start = time.monotonic()
-    result = _execute_task(task, scale)
+    with _released_heap():
+        result = _execute_task(task, scale)
     t_end = time.monotonic()
     sample = {
         "t_start": t_start,

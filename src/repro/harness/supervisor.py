@@ -28,6 +28,11 @@ Retries back off exponentially: the retry after 0-based failed attempt
 attempt transcript are the *scheduled* values, so transcripts are
 deterministic and chaos tests can assert the schedule exactly.
 
+Tasks are dispatched workload-major (a stable sort by each workload's
+first plan position) so a worker's trace memo hits across consecutive
+cells; every task keeps its plan index, so fault targets and the report
+follow plan order.
+
 Crash recovery rebuilds only what died: the dead worker is respawned and
 only its task is rescheduled — finished results are never discarded and
 unstarted tasks are unaffected. Hung workers are detected by a per-task
@@ -381,6 +386,22 @@ class _TaskState:
     ready_at: float = 0.0
     done: bool = False
     failed: bool = False
+
+
+def _workload_major(states: Sequence[_TaskState]) -> list[_TaskState]:
+    """Dispatch order: a stable sort by each workload's first plan position.
+
+    Sweep drivers request cells config-major, so plan order interleaves
+    workloads and a worker's single-entry trace memo
+    (:func:`repro.core.builder._memoizing_kernels`) would miss on every
+    task. Grouping by workload lets each worker build a workload's trace
+    once per contiguous run of its tasks. Only the order changes: every
+    state keeps its plan ``index`` (fault targets, report order).
+    """
+    rank: dict[str, int] = {}
+    for state in states:
+        rank.setdefault(state.task.workload, len(rank))
+    return sorted(states, key=lambda state: rank[state.task.workload])
 
 
 def _record_failure(state: _TaskState, outcome: str, detail: str,
@@ -816,6 +837,8 @@ def run_supervised(
 ) -> FailureReport:
     """Run every task under supervision; returns the failure report.
 
+    Both modes dispatch workload-major (:func:`_workload_major`); task
+    indices, fault targets and the report keep plan order.
     ``merge(task, result)`` is called in the supervising process for
     every completed task (in completion order — merging must therefore
     be order-insensitive, which cache seeding is). The report is
@@ -831,12 +854,13 @@ def run_supervised(
     report.telemetry = _new_telemetry("serial" if serial else "pool")
     if not states:
         return report
+    order = _workload_major(states)
     with _interrupt_guard() as interrupt:
         if serial:
-            _run_serial(states, scale, policy, report, merge, progress,
+            _run_serial(order, scale, policy, report, merge, progress,
                         interrupt)
         else:
-            _run_pool(states, scale, jobs, policy, report, merge, progress,
+            _run_pool(order, scale, jobs, policy, report, merge, progress,
                       interrupt)
     report.interrupted = bool(interrupt)
     return _finalize_report(report, states, scale.name)

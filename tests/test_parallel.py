@@ -1,25 +1,33 @@
 """Unit tests for the parallel runner, plan capture, and disk cache."""
 
+import gc
+from multiprocessing import get_start_method
+
 import pytest
 
+from repro.core import builder
+from repro.gpu.system import NumaGpuSystem
 from repro.harness import experiments as exp
 from repro.harness.diskcache import ResultDiskCache
+from repro.harness.faults import FAULT_PLAN_ENV
 from repro.harness.parallel import (
     JOBS_ENV,
     ParallelRunner,
     PlanningContext,
     RunTask,
+    _execute_measured,
     capture_plan,
     make_context,
     resolve_jobs,
 )
 from repro.harness.runner import ExperimentContext
+from repro.harness.supervisor import RetryPolicy, run_supervised, task_key
 from repro.metrics.export import (
     result_from_json_dict,
     result_to_json_dict,
     run_to_dict,
 )
-from repro.workloads.spec import WorkloadScale
+from repro.workloads.spec import WorkloadScale, WorkloadSpec
 
 #: A minuscule scale so parallel tests run in milliseconds per simulation.
 MICRO = WorkloadScale(name="micro", cta_cap=24, footprint_lines=2048,
@@ -153,6 +161,115 @@ def test_prewarm_serial_path(ctx):
         [lambda c: exp.figure3(c, workloads=("Lonestar-SP",))]
     )
     assert n == 4 and ctx.cached_runs == 4
+
+
+# ---------------------------------------------------------------------------
+# trace-affine dispatch and per-task heap release
+# ---------------------------------------------------------------------------
+
+AFFINE_WORKLOADS = ("Lonestar-SP", "Rodinia-Hotspot", "Rodinia-BFS")
+
+
+def config_major_plan(ctx) -> list[RunTask]:
+    """3 workloads x 3 configs, workloads innermost (as sweep drivers ask)."""
+    configs = (ctx.config_single_gpu(), ctx.config_locality(),
+               ctx.config_combined())
+    return [RunTask(w, c) for c in configs for w in AFFINE_WORKLOADS]
+
+
+def plan_order_reference(plan) -> list:
+    ref = ExperimentContext(sms_per_socket=2, scale=MICRO)
+    return [ref.run(t.workload, t.config) for t in plan]
+
+
+def count_trace_builds(monkeypatch, path):
+    """Log every trace materialization, in this process and forked workers.
+
+    The memo is cleared first so a trace left by an earlier test cannot
+    hide a build.
+    """
+    original = WorkloadSpec.build_kernels
+
+    def build_kernels(spec, scale):
+        with open(path, "a") as log:
+            log.write(spec.name + "\n")
+        return original(spec, scale)
+
+    monkeypatch.setattr(WorkloadSpec, "build_kernels", build_kernels)
+    monkeypatch.setattr(builder, "_last_traces", None)
+    return lambda: path.read_text().split() if path.exists() else []
+
+
+def run_plan(plan, jobs):
+    results = {}
+
+    def merge(task, result):
+        results[task] = result
+
+    report = run_supervised(plan, MICRO, jobs,
+                            RetryPolicy(max_retries=1, base_delay=0.0), merge)
+    return report, [results[t] for t in plan]
+
+
+def test_serial_dispatch_builds_each_trace_once(ctx, monkeypatch, tmp_path):
+    plan = config_major_plan(ctx)
+    reference = plan_order_reference(plan)
+    builds = count_trace_builds(monkeypatch, tmp_path / "builds")
+    report, results = run_plan(plan, jobs=1)
+    assert report.ok() and report.executed == len(plan)
+    assert sorted(builds()) == sorted(AFFINE_WORKLOADS)  # 3, not 9
+    assert results == reference
+    (tasks,) = [w["tasks"] for w in report.telemetry["workers"].values()]
+    assert [t["key"].split("@")[0] for t in tasks] == [
+        w for w in AFFINE_WORKLOADS for _ in range(3)
+    ]
+
+
+def test_fault_target_and_report_keep_plan_position(ctx, monkeypatch):
+    plan = config_major_plan(ctx)
+    # Plan index 1 is dispatched fourth, after Lonestar-SP's three cells.
+    monkeypatch.setenv(FAULT_PLAN_ENV, "transient_nth=1")
+    report, results = run_plan(plan, jobs=1)
+    assert report.ok()
+    (faulted,) = report.tasks
+    assert faulted.index == 1
+    assert faulted.key == task_key(plan[1], MICRO.name)
+    assert faulted.workload == plan[1].workload == "Rodinia-Hotspot"
+    assert faulted.outcomes() == ["error", "ok"]
+    assert results == plan_order_reference(plan)
+
+
+def test_pool_dispatch_is_workload_major_per_worker(ctx, monkeypatch,
+                                                   tmp_path):
+    plan = config_major_plan(ctx)
+    _, serial = run_plan(plan, jobs=1)
+    builds = count_trace_builds(monkeypatch, tmp_path / "builds")
+    report, results = run_plan(plan, jobs=2)
+    assert report.ok() and report.executed == len(plan)
+    assert results == serial
+    blocks = 0
+    for worker in report.telemetry["workers"].values():
+        order = [t["key"].split("@")[0] for t in worker["tasks"]]
+        runs = [w for i, w in enumerate(order) if i == 0 or w != order[i - 1]]
+        # Each workload is one contiguous run, in plan first-appearance
+        # order, so the worker's memo misses once per workload.
+        assert runs == [w for w in AFFINE_WORKLOADS if w in runs]
+        blocks += len(runs)
+    assert blocks <= 2 * len(AFFINE_WORKLOADS)
+    if get_start_method() == "fork":  # workers inherit the build counter
+        assert len(builds()) == blocks
+
+
+def test_execute_measured_releases_the_system_heap(ctx):
+    def systems():
+        return [o for o in gc.get_objects() if isinstance(o, NumaGpuSystem)]
+
+    # Garbage left by earlier tests is not this task's to free.
+    before = systems()
+    _execute_measured(RunTask("Lonestar-SP", ctx.config_locality()), MICRO)
+    leaked = [s for s in systems() if not any(s is b for b in before)]
+    assert leaked == []
+    assert gc.get_freeze_count() == 0  # the pre-task heap is thawed
 
 
 # ---------------------------------------------------------------------------
