@@ -61,7 +61,7 @@ def main() -> None:
     system = build_system(dynamic_cfg)
     dynamic = system.run(workload.build_kernels(scale), workload.name)
     assert system.switch is not None
-    for link in system.switch.links:
+    for link in system.switch.balancer_links:
         print(
             f"socket {link.socket_id}: {link.stats['lane_turns']:>3} lane "
             f"turns, final lanes egress={link.lanes(Direction.EGRESS)} "

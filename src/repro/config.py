@@ -205,9 +205,9 @@ class SystemConfig:
     kernel_launch_latency: int = 2000
     #: optional interconnect graph (:class:`repro.topology.spec.TopologySpec`).
     #: ``None`` means the paper's default fabric: the non-blocking crossbar
-    #: built from ``link``. A ``crossbar`` spec builds the identical
-    #: fast-path Switch; any other kind builds a multi-hop fabric whose
-    #: per-edge LinkConfigs come from the spec (``link`` is then unused).
+    #: star built from ``link``. A ``crossbar`` spec builds the identical
+    #: star; any other kind routes over its own graph with the spec's
+    #: per-edge LinkConfigs (``link`` is then unused).
     #: The annotation is a string to keep :mod:`repro.config` importable
     #: before :mod:`repro.topology` (which imports LinkConfig from here).
     topology: "TopologySpec | None" = None  # noqa: F821

@@ -47,10 +47,10 @@ def build_balancers(
 ) -> list[LinkBalancer]:
     """Instantiate per-link balancers when the policy calls for them.
 
-    ``fabric`` is any Fabric (crossbar :class:`~repro.interconnect.switch.Switch`
-    or :class:`~repro.topology.fabric.MultiHopFabric`) or ``None``; its
-    ``balancer_links`` property names the duplex links the dynamic
-    policy manages — socket links on the crossbar, edges elsewhere.
+    ``fabric`` is a :class:`~repro.topology.fabric.MultiHopFabric` or
+    ``None``; its ``balancer_links`` property names the duplex links the
+    dynamic policy manages — one per edge, which on the crossbar star is
+    one per socket link.
 
     ``monitor_only`` balancers sample and record utilization timelines but
     never turn lanes — used to capture Figure 5 on the static baseline.

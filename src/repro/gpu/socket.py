@@ -177,8 +177,8 @@ class GpuSocket:
         self.config = config
         self.engine = engine
         self.page_table = page_table
-        #: the system fabric (crossbar Switch or MultiHopFabric), or
-        #: None on a single-socket system.
+        #: the system fabric (a MultiHopFabric; the crossbar star by
+        #: default), or None on a single-socket system.
         self.switch = switch
         gpu = config.gpu
         self.line_size = gpu.l2.line_size

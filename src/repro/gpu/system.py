@@ -1,4 +1,4 @@
-"""The NUMA GPU system: sockets + switch + runtime + dynamic controllers.
+"""The NUMA GPU system: sockets + fabric + runtime + dynamic controllers.
 
 :class:`NumaGpuSystem` is the top-level simulation object. Construct it
 from a :class:`repro.config.SystemConfig` (usually via
@@ -76,9 +76,8 @@ class NumaGpuSystem:
         self.uvm = UvmManager(self.page_table)
         # The fabric-or-none decision lives in one documented helper
         # (`repro.topology.fabric.build_fabric`): None for one socket,
-        # the crossbar Switch for the default/crossbar topology, a
-        # MultiHopFabric for everything else. ``switch`` keeps its
-        # historic name; it is typed as the Fabric interface now.
+        # a MultiHopFabric (the crossbar star by default) otherwise.
+        # ``switch`` keeps its historic name.
         self.switch = build_fabric(config, self.engine)
         self.sockets = [
             make_socket(s, config, self.engine, self.page_table, self.switch)
@@ -86,12 +85,6 @@ class NumaGpuSystem:
         ]
         if self.switch is not None:
             self.switch.owners = list(self.sockets)
-            # The crossbar additionally back-references each socket from
-            # its dedicated link (kept for introspection and tests).
-            links = getattr(self.switch, "links", None)
-            if links is not None:
-                for link, socket in zip(links, self.sockets):
-                    link.owner = socket
         # The locality layer: the fabric's distance model feeds both the
         # placement policy (hop-weighted homing / migration charges) and
         # the CTA-assignment policy (affinity-aware blocks). The default

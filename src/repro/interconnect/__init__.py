@@ -1,4 +1,8 @@
-"""Inter-GPU interconnect: lanes, links, switch, and the load balancer."""
+"""Inter-GPU interconnect: lanes, links, packets, and the load balancer.
+
+The fabric that routes packets over these links (the paper's crossbar
+included) is :class:`repro.topology.fabric.MultiHopFabric`.
+"""
 
 from repro.interconnect.balancer import LinkBalancer
 from repro.interconnect.link import Direction, DuplexLink
@@ -8,7 +12,6 @@ from repro.interconnect.packets import (
     PacketKind,
     packet_bytes,
 )
-from repro.interconnect.switch import Switch
 
 __all__ = [
     "LinkBalancer",
@@ -18,5 +21,4 @@ __all__ = [
     "DATA_BYTES",
     "PacketKind",
     "packet_bytes",
-    "Switch",
 ]

@@ -1,4 +1,4 @@
-"""A GPU-to-switch duplex link built from individually reversible lanes.
+"""A duplex fabric link built from individually reversible lanes.
 
 Table 1: 8 lanes per direction, 8 GB/s per lane, 128-cycle latency. The
 paper's Section 4 proposal replaces unidirectional lanes with bidirectional
@@ -15,10 +15,13 @@ Modelling choices (documented in DESIGN.md):
   direction receives the lane only after ``switch_time`` cycles (the
   quiesce + resynchronization window).
 
-Hot-path notes: :meth:`DuplexLink.transfer` runs twice per switch packet,
-so per-direction state lives in plain attributes selected by an ``is``
-check on the direction (no enum-keyed dict hashing) and byte/packet
-counters are slotted ints flattened into ``stats`` on read.
+Hot-path notes: the fabric's hop programs admit straight into a
+direction's :class:`BandwidthResource`, so per-direction state lives in
+plain attributes (no enum-keyed dict hashing) and the per-direction
+byte/packet counters are read-only views of that resource's own
+``_bytes_total`` / ``_transfers`` — one counter per fact, nothing extra
+to bump per hop. Lane-turn counters are slotted ints flattened into
+``stats`` on read.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ register(__name__, "_obs_lane_reset", "lane_reset")
 class Direction(enum.Enum):
     """Traffic direction relative to the GPU socket."""
 
-    EGRESS = "egress"  # GPU -> switch
-    INGRESS = "ingress"  # switch -> GPU
+    EGRESS = "egress"  # GPU -> switch (an edge's a -> b)
+    INGRESS = "ingress"  # switch -> GPU (an edge's b -> a)
 
     @property
     def other(self) -> "Direction":
@@ -53,7 +56,7 @@ class Direction(enum.Enum):
 
 
 class DuplexLink:
-    """One socket's link to the switch, with dynamic lane assignment."""
+    """One duplex link with dynamic lane assignment."""
 
     __slots__ = (
         "socket_id",
@@ -61,7 +64,6 @@ class DuplexLink:
         "engine",
         "latency",
         "label",
-        "owner",
         "_lanes_egress",
         "_lanes_ingress",
         "_res_egress",
@@ -69,15 +71,12 @@ class DuplexLink:
         "windows",
         "_stats",
         "_pending_turns",
-        "n_egress_bytes",
-        "n_ingress_bytes",
-        "n_egress_packets",
-        "n_ingress_packets",
         "n_lane_turns",
         "n_symmetric_resets",
     )
 
-    #: slotted counter -> public stats key (see repro.sim.stats).
+    #: counter attribute -> public stats key (see repro.sim.stats); the
+    #: byte/packet entries are the resource-backed views below.
     _STAT_FIELDS = (
         ("n_egress_bytes", "egress_bytes"),
         ("n_ingress_bytes", "ingress_bytes"),
@@ -98,13 +97,10 @@ class DuplexLink:
         self.config = config
         self.engine = engine
         self.latency = config.latency
-        #: display/series name; stays ``link<id>`` for socket links so
-        #: timeline names are unchanged, while topology edges override it
-        #: with their edge name (e.g. ``gpu0-gpu1``).
+        #: display/series name; ``link<id>`` by default (the crossbar's
+        #: socket links), while routed topology edges override it with
+        #: their edge name (e.g. ``gpu0-gpu1``).
         self.label = label if label is not None else f"link{socket_id}"
-        #: back-reference to the owning GpuSocket, wired by the system
-        #: builder; used by peers to deliver packets.
-        self.owner = None
         self._lanes_egress = config.lanes_per_direction
         self._lanes_ingress = config.lanes_per_direction
         rate = config.lanes_per_direction * config.lane_bandwidth
@@ -116,10 +112,6 @@ class DuplexLink:
         }
         self._stats = StatGroup(self.label)
         self._pending_turns = 0
-        self.n_egress_bytes = 0
-        self.n_ingress_bytes = 0
-        self.n_egress_packets = 0
-        self.n_ingress_packets = 0
         self.n_lane_turns = 0
         self.n_symmetric_resets = 0
 
@@ -131,6 +123,26 @@ class DuplexLink:
         """Counter view; slotted ints are flattened on every read."""
         return flatten_slots(self, self._STAT_FIELDS, self._stats)
 
+    @property
+    def n_egress_bytes(self) -> int:
+        """Bytes admitted in the egress direction."""
+        return self._res_egress._bytes_total
+
+    @property
+    def n_ingress_bytes(self) -> int:
+        """Bytes admitted in the ingress direction."""
+        return self._res_ingress._bytes_total
+
+    @property
+    def n_egress_packets(self) -> int:
+        """Packets admitted in the egress direction."""
+        return self._res_egress._transfers
+
+    @property
+    def n_ingress_packets(self) -> int:
+        """Packets admitted in the ingress direction."""
+        return self._res_ingress._transfers
+
     # ------------------------------------------------------------------
     # traffic
     # ------------------------------------------------------------------
@@ -141,33 +153,18 @@ class DuplexLink:
 
         Serializes on the direction's current aggregate lane bandwidth and
         then pays the propagation latency (the full link latency unless the
-        caller overrides it, as the switch does to split latency per hop).
+        caller overrides it). The fabric's hop programs inline the same
+        lane check and admission.
         """
         if direction is Direction.EGRESS:
             if self._lanes_egress == 0:
                 self._raise_emptied(direction)
             res = self._res_egress
-            self.n_egress_bytes += nbytes
-            self.n_egress_packets += 1
         else:
             if self._lanes_ingress == 0:
                 self._raise_emptied(direction)
             res = self._res_ingress
-            self.n_ingress_bytes += nbytes
-            self.n_ingress_packets += 1
-        # Inlined BandwidthResource.service (two transfers per switch
-        # packet): identical arithmetic; packet sizes are fixed positive
-        # constants so the negative-size guard is not needed here.
-        next_free = res._next_free
-        start = now if now > next_free else next_free
-        duration = nbytes / res._rate
-        next_free = start + duration
-        res._next_free = next_free
-        res._busy_granted += duration
-        res._bytes_total += nbytes
-        res._transfers += 1
-        whole = int(next_free)
-        done = whole if whole == next_free else whole + 1
+        done = res.service(now, nbytes)
         return done + (self.latency if latency is None else latency)
 
     def _raise_emptied(self, direction: Direction) -> None:
@@ -278,21 +275,21 @@ class DuplexLink:
     # below; ``_pending_turns`` must be zero at a quiescent boundary (a
     # pending commit is an engine event) and is asserted, not captured;
     # ``_stats`` is the StatGroup shadow flatten_slots refills from the
-    # slotted counters on every read.
+    # counters on every read. Byte/packet counts live in the two
+    # resources' snapshots.
     _SNAPSHOT_EXEMPT = (
         "socket_id",
         "config",
         "engine",
         "latency",
         "label",
-        "owner",
         "windows",
         "_pending_turns",
         "_stats",
     )
 
     def snapshot_state(self) -> dict:
-        """Lane split, both bandwidth servers and windows, counters."""
+        """Lane split, both bandwidth servers and windows, lane counters."""
         if self._pending_turns:
             raise SnapshotError(
                 f"{self.label}: {self._pending_turns} lane turn(s) still "
@@ -305,10 +302,8 @@ class DuplexLink:
             "res_ingress": self._res_ingress.snapshot_state(),
             "win_egress": self.windows[Direction.EGRESS].snapshot_state(),
             "win_ingress": self.windows[Direction.INGRESS].snapshot_state(),
-            "counters": [
-                [key, getattr(self, attr)]
-                for attr, key in self._STAT_FIELDS
-            ],
+            "lane_turns": self.n_lane_turns,
+            "symmetric_resets": self.n_symmetric_resets,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -320,6 +315,5 @@ class DuplexLink:
         self.windows[Direction.EGRESS].restore_state(state["win_egress"])
         self.windows[Direction.INGRESS].restore_state(state["win_ingress"])
         self._pending_turns = 0
-        counters = dict((key, value) for key, value in state["counters"])
-        for attr, key in self._STAT_FIELDS:
-            setattr(self, attr, int(counters.get(key, 0)))
+        self.n_lane_turns = int(state["lane_turns"])
+        self.n_symmetric_resets = int(state["symmetric_resets"])

@@ -6,14 +6,16 @@ the number of fabric hops a packet crosses and the minimum (bottleneck)
 per-direction bandwidth along the chosen route. Every fabric exposes one
 via ``distance_model()``:
 
-* the crossbar :class:`repro.interconnect.switch.Switch` returns the
+* on the paper's crossbar (:func:`repro.topology.spec.is_crossbar`)
+  :class:`repro.topology.fabric.MultiHopFabric` returns the
   **identity** model — zero hops on the diagonal, one hop between every
   distinct pair, uniform bandwidth — because a non-blocking switch is
-  distance-free by construction (which is also why the distance-aware
-  policies degrade *exactly* to their distance-blind ancestors on it);
-* :class:`repro.topology.fabric.MultiHopFabric` derives its model from
-  the deterministic routing tables of :mod:`repro.topology.routing`, so
-  policy decisions are a pure function of the spec.
+  distance-free by construction, even though it is built as a two-hop
+  star (which is also why the distance-aware policies degrade *exactly*
+  to their distance-blind ancestors on it);
+* on every other topology it derives its model from the deterministic
+  routing tables of :mod:`repro.topology.routing`, so policy decisions
+  are a pure function of the spec.
 
 The model is a frozen snapshot (tuples of tuples): policies read it at
 construction/launch, and per-access hot paths index plain tuples.

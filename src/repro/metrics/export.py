@@ -87,7 +87,8 @@ def result_to_json_dict(result: RunResult) -> dict:
     :func:`result_from_json_dict` reconstructs an equal object.
 
     The topology fields (``edges``, ``hop_histogram``) are emitted only
-    when non-empty: the default crossbar produces neither, and its JSON
+    when non-empty: the default crossbar reports neither
+    (:func:`repro.metrics.report.collect_results`), and its JSON
     form is pinned byte-for-byte by ``tests/golden/hotpath`` — omitting
     empty keys keeps those goldens stable while staying lossless
     (absent key round-trips to the empty default).

@@ -199,9 +199,15 @@ def collect_results(system: "NumaGpuSystem", workload_name: str) -> RunResult:
             partition_timelines[controller.timeline.name] = controller.timeline
     launcher = system.launcher
     fabric = system.switch
+    # The crossbar (topology.spec.is_crossbar) is the paper default: an
+    # explicit crossbar spec is byte-identical to no topology at all
+    # (goldens), so only routed fabrics annotate the config label and
+    # report per-edge stats and the hop histogram; the crossbar's links
+    # are already its sockets' egress/ingress fields.
+    routed = fabric is not None and not fabric.crossbar
     return RunResult(
         workload=workload_name,
-        config_label=_config_label(system),
+        config_label=_config_label(system, routed),
         cycles=system.engine.now,
         n_sockets=system.config.n_sockets,
         sockets=sockets,
@@ -211,13 +217,13 @@ def collect_results(system: "NumaGpuSystem", workload_name: str) -> RunResult:
         link_timelines=link_timelines,
         partition_timelines=partition_timelines,
         kernel_launch_times=list(launcher.kernel_launch_times) if launcher else [],
-        edges=fabric.edge_stats() if fabric else [],
-        hop_histogram=fabric.hop_histogram() if fabric else {},
+        edges=fabric.edge_stats() if routed else [],
+        hop_histogram=fabric.hop_histogram() if routed else {},
         re_homed_pages=system.page_table.re_homed_pages,
     )
 
 
-def _config_label(system: "NumaGpuSystem") -> str:
+def _config_label(system: "NumaGpuSystem", routed: bool) -> str:
     cfg = system.config
     # The effective policy kinds: identical to the historical enum
     # values unless a locality spec overrides them (goldens pin the
@@ -226,10 +232,6 @@ def _config_label(system: "NumaGpuSystem") -> str:
         f"{cfg.n_sockets}s/{cfg.cta_kind}/{cfg.placement_kind}/"
         f"{cfg.cache_arch.value}/{cfg.link_policy.value}"
     )
-    # The crossbar is the paper default: an explicit crossbar spec is
-    # byte-identical to no topology at all (goldens), so only non-default
-    # fabrics annotate the label.
-    topo = cfg.topology
-    if topo is not None and topo.kind != "crossbar":
-        label += f"/{topo.name}"
+    if routed:
+        label += f"/{cfg.topology.name}"
     return label

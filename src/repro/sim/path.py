@@ -46,10 +46,10 @@ replaced, which pins three rules:
 
 Multi-hop fabrics (DESIGN.md, "Topology layer")
 -----------------------------------------------
-``self.switch`` is the system *fabric*: the crossbar ``Switch`` by
-default, or a :class:`repro.topology.fabric.MultiHopFabric` when the
-config carries a non-crossbar topology. Either way a link crossing is
-one ``send_bytes`` call from a stage body: the fabric holds a
+``self.switch`` is the system *fabric*, a
+:class:`repro.topology.fabric.MultiHopFabric`: the paper's crossbar (a
+star around one router) by default, or the config's topology. A link
+crossing is one ``send_bytes`` call from a stage body: the fabric holds a
 precompiled per-``(src, dst)`` *hop program* — a tuple of prebound
 zero-state ``admit`` stages resolved from the deterministic routing
 tables — and admits every hop closed-form at the send event (the

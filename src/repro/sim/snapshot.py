@@ -48,7 +48,7 @@ from repro.config import config_digest
 from repro.errors import SnapshotError
 
 #: Serialized-format version; bump on any payload shape change.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def canonical_json(payload) -> str:

@@ -1,8 +1,8 @@
 """Declarative multi-hop interconnect topologies.
 
 The paper evaluates one fabric — a non-blocking crossbar with one duplex
-link per socket (:class:`repro.interconnect.switch.Switch`). This package
-generalizes that to a *declarative* topology layer:
+link per socket. This package generalizes that to a *declarative*
+topology layer:
 
 * :mod:`repro.topology.spec` — :class:`TopologySpec`, a validated named
   node/edge graph with a per-edge :class:`repro.config.LinkConfig`, plus
@@ -11,13 +11,15 @@ generalizes that to a *declarative* topology layer:
 * :mod:`repro.topology.routing` — precomputed deterministic
   shortest-path routing tables (fixed tie-break by node id) and the
   canonical bisection cut;
-* :mod:`repro.topology.fabric` — the multi-hop :class:`MultiHopFabric`
-  (per-edge duplex lanes, precompiled per-``(src, dst)`` hop programs)
-  and :func:`build_fabric`, the single fabric-or-none decision helper.
+* :mod:`repro.topology.fabric` — :class:`MultiHopFabric`, the one
+  fabric (per-edge duplex lanes, precompiled per-``(src, dst)`` hop
+  programs), and :func:`build_fabric`, the single fabric-or-none
+  decision helper.
 
 The default crossbar stays byte-identical to the paper baseline: a
 ``SystemConfig`` without a topology (or with a ``crossbar`` spec) builds
-the original :class:`~repro.interconnect.switch.Switch`.
+the crossbar as a star ``MultiHopFabric`` around one ``xbar`` router,
+under the rules documented at :func:`is_crossbar`.
 """
 
 from repro.topology.fabric import MultiHopFabric, build_fabric
@@ -29,6 +31,7 @@ from repro.topology.spec import (
     build_topology,
     crossbar,
     fully_connected,
+    is_crossbar,
     mesh2d,
     mesh_dims,
     ring,
@@ -47,6 +50,7 @@ __all__ = [
     "compute_routes",
     "crossbar",
     "fully_connected",
+    "is_crossbar",
     "mesh2d",
     "mesh_dims",
     "ring",

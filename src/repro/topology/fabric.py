@@ -1,7 +1,9 @@
-"""The multi-hop fabric: topology edges, hop programs, and build_fabric.
+"""The fabric: topology edges, hop programs, and build_fabric.
 
-:class:`MultiHopFabric` generalizes :class:`repro.interconnect.switch.Switch`
-to an arbitrary :class:`~repro.topology.spec.TopologySpec`. Each edge is
+:class:`MultiHopFabric` is the one inter-socket fabric. It routes over an
+arbitrary :class:`~repro.topology.spec.TopologySpec`; the paper's
+non-blocking crossbar is the star :func:`~repro.topology.spec.crossbar`
+compiled by :func:`build_fabric`. Each edge is
 an :class:`EdgeLink` — a :class:`~repro.interconnect.link.DuplexLink`
 whose *egress* direction is ``a -> b`` (the spec's edge orientation) and
 *ingress* is ``b -> a`` — so the Section 4 lane balancer and its
@@ -24,9 +26,9 @@ objects live for the life of the edge.
 Determinism (DESIGN.md, "Topology layer")
 -----------------------------------------
 All hops of one packet are admitted *at the send event*, each starting at
-the previous hop's arrival — the same closed-form convention the crossbar
-has always used for its two hops (egress then ingress admitted together
-in ``Switch.send_bytes``). The hop program spans only FIFO bandwidth
+the previous hop's arrival — the closed-form convention the paper's
+crossbar has always used for its two hops (source egress, then
+destination ingress). The hop program spans only FIFO bandwidth
 admissions and pure latency, never a shared-state op (L2 probes, MSHRs,
 and fills remain engine events at their exact cycles), so the fused-path
 rule that *no state op moves in time* is preserved. A mid-transfer
@@ -37,19 +39,20 @@ change retroactively.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.config import LinkConfig, SystemConfig
 from repro.core.link_policy import effective_edge_link, effective_link_config
 from repro.errors import ConfigError, InterconnectError
 from repro.interconnect.link import Direction, DuplexLink
 from repro.interconnect.packets import PacketKind, packet_bytes
-from repro.interconnect.switch import Switch
 from repro.locality.distance import DistanceModel
 from repro.metrics.report import EdgeStats
 from repro.obs.hooks import NOOP, register
 from repro.sim.engine import Engine
 from repro.sim.stats import StatGroup, flatten_slots
 from repro.topology.routing import compute_routes
-from repro.topology.spec import TopologySpec
+from repro.topology.spec import TopologySpec, crossbar, is_crossbar
 
 # Observability hook point (repro.obs.hooks): one event per routed
 # fabric packet, with the route's real hop count.
@@ -62,7 +65,8 @@ class EdgeLink(DuplexLink):
 
     ``Direction.EGRESS`` carries ``a -> b`` traffic and
     ``Direction.INGRESS`` carries ``b -> a``; ``socket_id`` holds the
-    edge index and ``label`` the edge name (series/error names).
+    edge index and ``label`` the series/error name (the edge name, or
+    ``link<i>`` on the crossbar).
     """
 
     __slots__ = ("a_idx", "b_idx", "a_name", "b_name")
@@ -76,8 +80,9 @@ class EdgeLink(DuplexLink):
         b_name: str,
         config: LinkConfig,
         engine: Engine,
+        label: str | None = None,
     ) -> None:
-        super().__init__(edge_id, config, engine, label=f"{a_name}-{b_name}")
+        super().__init__(edge_id, config, engine, label=label)
         self.a_idx = a_idx
         self.b_idx = b_idx
         self.a_name = a_name
@@ -119,6 +124,7 @@ class MultiHopFabric:
         "engine",
         "spec",
         "routes",
+        "crossbar",
         "edges",
         "owners",
         "_edge_links",
@@ -148,13 +154,16 @@ class MultiHopFabric:
         self.engine = engine
         self.spec = spec
         self.routes = compute_routes(spec)
+        #: the paper's default fabric (see topology.spec.is_crossbar)
+        self.crossbar = is_crossbar(spec)
         if edge_links is None:
             edge_links = tuple(edge.link for edge in spec.edges)
         self._edge_links = edge_links
         index = {node: i for i, node in enumerate(spec.nodes)}
         self.edges = [
             EdgeLink(
-                e, index[edge.a], index[edge.b], edge.a, edge.b, link, engine
+                e, index[edge.a], index[edge.b], edge.a, edge.b, link, engine,
+                label=None if self.crossbar else edge.name,
             )
             for e, (edge, link) in enumerate(zip(spec.edges, edge_links))
         ]
@@ -225,11 +234,13 @@ class MultiHopFabric:
         Every hop is admitted here, at the send event, starting at the
         previous hop's arrival (the crossbar's two-hop closed-form
         convention generalized; see the module docstring for why this
-        composes with mid-route ``set_rate``). The per-hop admission is
-        inlined from :meth:`repro.interconnect.link.DuplexLink.transfer`
-        — identical arithmetic and counters; packet sizes are fixed
-        positive constants — so a route costs one Python frame no matter
-        its hop count.
+        composes with mid-route ``set_rate``). Each hop is the lane check
+        and the admission inlined from
+        :meth:`repro.sim.resource.BandwidthResource.service` — identical
+        arithmetic; packet sizes are fixed positive constants — so a
+        route costs one Python frame no matter its hop count. The edge's
+        byte/packet counters are views of the resource, so nothing else
+        is bumped per hop.
         """
         if src == dst:
             raise InterconnectError(f"fabric asked to route {src} -> {dst}")
@@ -238,13 +249,8 @@ class MultiHopFabric:
             if forward:
                 if edge._lanes_egress == 0:
                     edge._raise_emptied(Direction.EGRESS)
-                edge.n_egress_bytes += nbytes
-                edge.n_egress_packets += 1
-            else:
-                if edge._lanes_ingress == 0:
-                    edge._raise_emptied(Direction.INGRESS)
-                edge.n_ingress_bytes += nbytes
-                edge.n_ingress_packets += 1
+            elif edge._lanes_ingress == 0:
+                edge._raise_emptied(Direction.INGRESS)
             next_free = res._next_free
             start = t if t > next_free else next_free
             duration = nbytes / res._rate
@@ -337,7 +343,16 @@ class MultiHopFabric:
         Derived from the same deterministic routing tables the hop
         programs were compiled from, over the *effective* per-edge links
         (so ``DOUBLED`` provisioning is visible to the locality layer).
+        The crossbar is the exception: a non-blocking switch is
+        distance-free, so it returns the identity model (one uniform hop
+        between distinct sockets at the per-link bandwidth) and the
+        distance-aware policies degrade exactly to their distance-blind
+        ancestors on the paper's default fabric.
         """
+        if self.crossbar:
+            return DistanceModel.identity(
+                self.spec.n_sockets, self.edges[0].bandwidth(Direction.EGRESS)
+            )
         return DistanceModel.from_spec(self.spec, self._edge_links)
 
     # ------------------------------------------------------------------
@@ -350,6 +365,7 @@ class MultiHopFabric:
         "engine",
         "spec",
         "routes",
+        "crossbar",
         "owners",
         "_edge_links",
         "_programs",
@@ -379,18 +395,19 @@ class MultiHopFabric:
 def build_fabric(config: SystemConfig, engine: Engine):
     """The single fabric-or-none decision for one system config.
 
-    This is the one place that rules on the historical construction
-    asymmetry (builders accepted ``n_sockets=1`` and silently skipped
-    the fabric while ``Switch`` raises for ``n_sockets < 2``): a
-    single-socket system has **no fabric** (`None`) — all traffic is
-    local by construction — and every multi-socket system gets exactly
-    one fabric:
+    A single-socket system has **no fabric** (``None``): all traffic is
+    local by construction. Every multi-socket system gets one
+    :class:`MultiHopFabric`:
 
-    * no topology, or a ``crossbar`` spec -> the original
-      :class:`~repro.interconnect.switch.Switch` (the crossbar fast
-      path; byte-identical to the pre-topology simulator, pinned by
-      ``tests/golden/hotpath``),
-    * any other topology -> :class:`MultiHopFabric`.
+    * no topology, or a ``crossbar`` spec -> the star of
+      :func:`~repro.topology.spec.crossbar`, one edge per socket to
+      ``xbar`` carrying the effective link with half its latency. A
+      packet is admitted at its source's egress, then at its
+      destination's ingress, each followed by half the link latency —
+      the paper's crossbar exactly (see
+      :func:`~repro.topology.spec.is_crossbar` for the rules that keep
+      it byte-identical, pinned by ``tests/golden/hotpath``);
+    * any other topology -> its own graph and per-edge links.
 
     The ``DOUBLED`` link policy scales per-edge lane bandwidth exactly
     as it scaled the per-socket link before
@@ -399,26 +416,27 @@ def build_fabric(config: SystemConfig, engine: Engine):
     if config.n_sockets < 2:
         return None
     topo = config.topology
-    if topo is None:
-        return Switch(config.n_sockets, effective_link_config(config), engine)
-    if topo.n_sockets != config.n_sockets:  # defense; SystemConfig validates
+    if topo is not None and topo.n_sockets != config.n_sockets:
+        # defense; SystemConfig validates
         raise ConfigError(
             f"topology {topo.name!r} has {topo.n_sockets} sockets, "
             f"config has {config.n_sockets}"
         )
-    if topo.kind == "crossbar":
-        links = {edge.link for edge in topo.edges}
-        if len(links) != 1:
-            raise ConfigError(
-                "a crossbar topology needs one uniform per-edge LinkConfig "
-                "(it maps onto the non-blocking Switch fast path, which "
-                "splits one link latency across its two hops)"
-            )
-        return Switch(
-            config.n_sockets,
-            effective_edge_link(config, next(iter(links))),
-            engine,
-        )
+    if is_crossbar(topo):
+        if topo is None:
+            link = effective_link_config(config)
+        else:
+            links = {edge.link for edge in topo.edges}
+            if len(links) != 1:
+                raise ConfigError(
+                    "a crossbar topology needs one uniform per-edge "
+                    "LinkConfig (its distance model is the identity over "
+                    "one bandwidth, and each of its two hops pays half "
+                    "the one link latency)"
+                )
+            link = effective_edge_link(config, next(iter(links)))
+        star = crossbar(config.n_sockets, replace(link, latency=link.latency // 2))
+        return MultiHopFabric(star, engine)
     edge_links = tuple(
         effective_edge_link(config, edge.link) for edge in topo.edges
     )

@@ -164,11 +164,13 @@ def _socket_names(n_sockets: int) -> tuple[str, ...]:
 def crossbar(n_sockets: int, link: LinkConfig | None = None) -> TopologySpec:
     """The paper's fabric: a non-blocking star (one duplex link per socket).
 
-    Built as a star graph over a central ``xbar`` router. The system
-    builder maps this spec onto the original
-    :class:`repro.interconnect.switch.Switch` fast path, so a crossbar
-    topology is *byte-identical* to a config with no topology at all
-    (pinned by the goldens in ``tests/golden/hotpath``).
+    Built as a star graph over a central ``xbar`` router: every packet
+    crosses its source's link (egress) and its destination's link
+    (ingress). :func:`repro.topology.fabric.build_fabric` compiles this
+    star for a config with no topology too, so an explicit crossbar is
+    *byte-identical* to the default (pinned by the goldens in
+    ``tests/golden/hotpath``); see :func:`is_crossbar` for the rules
+    that keep it so.
     """
     sockets = _socket_names(n_sockets)
     link = link if link is not None else LinkConfig()
@@ -179,6 +181,29 @@ def crossbar(n_sockets: int, link: LinkConfig | None = None) -> TopologySpec:
         routers=("xbar",),
         edges=tuple(EdgeSpec(s, "xbar", link) for s in sockets),
     )
+
+
+def is_crossbar(topology: TopologySpec | None) -> bool:
+    """True for the paper's default fabric: no topology, or a crossbar.
+
+    The crossbar runs through the same routed fabric as every other
+    topology, as a star around ``xbar``. Four facts keep its results
+    byte-identical to the paper baseline (``tests/golden/hotpath``, the
+    benchmark's reference digests), and all of them key on this
+    predicate:
+
+    (a) its edges are labelled ``link<i>`` (socket ``i``'s link), so
+        balancer timelines and lane-turn trace names are per socket link;
+    (b) its ``distance_model()`` is :meth:`DistanceModel.identity` —
+        one uniform hop between distinct sockets, not the star's two
+        hops, because distance-aware policies scale with absolute hops;
+    (c) ``RunResult.edges`` and ``hop_histogram`` stay empty: socket
+        links are already reported as per-socket egress/ingress;
+    (d) its per-edge links must be uniform (the identity model assumes
+        one bandwidth), and each hop pays half the link latency, so a
+        packet pays one full link latency across its two hops.
+    """
+    return topology is None or topology.kind == "crossbar"
 
 
 def ring(n_sockets: int, link: LinkConfig | None = None) -> TopologySpec:

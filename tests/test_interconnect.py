@@ -1,9 +1,14 @@
 """Unit tests for links, lanes, the switch, and packets."""
 
-import pytest
+import math
+from dataclasses import replace
 
-from repro.config import LinkConfig
-from repro.errors import InterconnectError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import LinkConfig, scaled_config
+from repro.errors import ConfigError, InterconnectError
 from repro.interconnect.link import Direction, DuplexLink
 from repro.interconnect.packets import (
     CONTROL_BYTES,
@@ -11,8 +16,8 @@ from repro.interconnect.packets import (
     PacketKind,
     packet_bytes,
 )
-from repro.interconnect.switch import Switch
 from repro.sim.engine import Engine
+from repro.topology import MultiHopFabric, TopologySpec, build_fabric, crossbar
 
 
 def make_link(**overrides):
@@ -182,37 +187,47 @@ def test_lane_turn_counts_stat():
 
 
 # ---------------------------------------------------------------------------
-# switch
+# switch: the paper's crossbar, built as a star fabric
 # ---------------------------------------------------------------------------
 
+def star(n_sockets, link=LinkConfig()):
+    """The crossbar exactly as a system builds it (no topology)."""
+    config = replace(scaled_config(n_sockets=n_sockets), link=link)
+    return build_fabric(config, Engine())
+
+
 def test_switch_needs_two_sockets():
+    with pytest.raises(ConfigError):
+        crossbar(1)
+    lone = TopologySpec("lone", "crossbar", ("gpu0",))
     with pytest.raises(InterconnectError):
-        Switch(1, LinkConfig(), Engine())
+        MultiHopFabric(lone, Engine())
 
 
 def test_switch_rejects_self_route():
-    switch = Switch(4, LinkConfig(), Engine())
+    switch = star(4)
     with pytest.raises(InterconnectError):
         switch.send(0, 1, 1, PacketKind.READ_REQUEST)
 
 
 def test_switch_end_to_end_latency():
-    switch = Switch(2, LinkConfig(), Engine())
+    switch = star(2)
     # 32B request: 1 cycle on each link + 2 x 64 half-latency.
     arrival = switch.send(0, 0, 1, PacketKind.READ_REQUEST)
     assert arrival == 1 + 64 + 1 + 64
 
 
 def test_switch_charges_both_links():
-    switch = Switch(2, LinkConfig(), Engine())
+    switch = star(2)
     switch.send(0, 0, 1, PacketKind.READ_RESPONSE)
-    assert switch.links[0].stats["egress_bytes"] == DATA_BYTES
-    assert switch.links[1].stats["ingress_bytes"] == DATA_BYTES
-    assert switch.links[1].stats["egress_bytes"] == 0
+    links = switch.balancer_links
+    assert links[0].stats["egress_bytes"] == DATA_BYTES
+    assert links[1].stats["ingress_bytes"] == DATA_BYTES
+    assert links[1].stats["egress_bytes"] == 0
 
 
 def test_switch_total_bytes_counts_once_per_packet():
-    switch = Switch(4, LinkConfig(), Engine())
+    switch = star(4)
     switch.send(0, 0, 1, PacketKind.READ_REQUEST)
     switch.send(0, 2, 3, PacketKind.READ_RESPONSE)
     assert switch.total_bytes == CONTROL_BYTES + DATA_BYTES
@@ -220,7 +235,72 @@ def test_switch_total_bytes_counts_once_per_packet():
 
 def test_switch_contention_on_shared_ingress():
     """Two sources sending to one destination serialize on its ingress."""
-    switch = Switch(3, LinkConfig(), Engine())
+    switch = star(3)
     a1 = switch.send(0, 0, 2, PacketKind.READ_RESPONSE)
     a2 = switch.send(0, 1, 2, PacketKind.READ_RESPONSE)
     assert a2 > a1
+
+
+class TwoHopReference:
+    """The crossbar in closed form: source egress, then destination
+    ingress, each a FIFO admission followed by half the link latency."""
+
+    def __init__(self, links, latency):
+        self.links, self.half = links, latency // 2
+        self.free, self.bytes, self.packets = {}, {}, {}
+
+    def hop(self, t, sid, direction, nbytes):
+        key = (sid, direction)
+        rate = self.links[sid].resource(direction).rate
+        self.free[key] = max(t, self.free.get(key, 0.0)) + nbytes / rate
+        self.bytes[key] = self.bytes.get(key, 0) + nbytes
+        self.packets[key] = self.packets.get(key, 0) + 1
+        return math.ceil(self.free[key]) + self.half
+
+    def send(self, now, src, dst, nbytes):
+        at_switch = self.hop(now, src, Direction.EGRESS, nbytes)
+        return self.hop(at_switch, dst, Direction.INGRESS, nbytes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=150).map(lambda k: 2 * k + 1),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=40),  # cycles since last op
+            st.integers(min_value=0, max_value=3),  # src / link
+            st.integers(min_value=0, max_value=3),  # dst
+            st.sampled_from([CONTROL_BYTES, DATA_BYTES, 1000]),
+            st.sampled_from(["send", "send", "turn", "reset"]),
+        ),
+        max_size=120,
+    ),
+)
+def test_star_matches_closed_form_two_hop_reference(latency, ops):
+    """Arrivals and per-link counters equal the two-hop closed form over
+    odd latencies, with lane turns and symmetric resets interleaved."""
+    link = LinkConfig(lanes_per_direction=4, lane_bandwidth=3.0, latency=latency)
+    switch = star(4, link)
+    engine = switch.engine
+    links = switch.balancer_links
+    reference = TwoHopReference(links, latency)
+    now = 0
+    for delta, src, dst, nbytes, op in ops:
+        now += delta
+        engine.run(until=now)
+        if op == "turn":
+            toward = Direction.EGRESS if dst % 2 else Direction.INGRESS
+            if links[src].lanes(toward.other) > link.min_lanes:
+                links[src].turn_lane(toward, switch_time=dst * 7)
+        elif op == "reset":
+            links[src].reset_symmetric()
+        elif src != dst:
+            expected = reference.send(now, src, dst, nbytes)
+            assert switch.send_bytes(now, src, dst, nbytes) == expected
+    for sid, duplex in enumerate(links):
+        for direction in Direction:
+            key = (sid, direction)
+            stats = duplex.stats
+            assert stats[f"{direction.value}_bytes"] == reference.bytes.get(key, 0)
+            assert stats[f"{direction.value}_packets"] == reference.packets.get(key, 0)
+    assert switch.total_bytes == sum(reference.bytes.values()) // 2

@@ -1,51 +1,10 @@
-"""Unit tests for address helpers, DRAM, and the SM wrapper."""
+"""Unit tests for DRAM and the SM wrapper."""
 
 import pytest
 
 from repro.config import CacheArch, GpuConfig
 from repro.gpu.sm import Sm
-from repro.memory.address import (
-    line_base,
-    line_of,
-    lines_in_range,
-    page_base,
-    page_of,
-)
 from repro.memory.dram import DramChannel
-
-
-# ---------------------------------------------------------------------------
-# address helpers
-# ---------------------------------------------------------------------------
-
-def test_line_of():
-    assert line_of(0) == 0
-    assert line_of(127) == 0
-    assert line_of(128) == 1
-
-
-def test_line_base():
-    assert line_base(200) == 128
-    assert line_base(128) == 128
-
-
-def test_page_of_and_base():
-    assert page_of(0) == 0
-    assert page_of(4095) == 0
-    assert page_of(4096) == 1
-    assert page_base(5000) == 4096
-
-
-def test_lines_in_range():
-    assert list(lines_in_range(0, 128)) == [0]
-    assert list(lines_in_range(0, 129)) == [0, 1]
-    assert list(lines_in_range(100, 100)) == [0, 1]
-    assert list(lines_in_range(0, 0)) == []
-
-
-def test_custom_granularities():
-    assert line_of(512, line_size=256) == 2
-    assert page_of(8192, page_size=8192) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ from repro.core.numa_cache import CachePartitionController
 from repro.gpu.socket import GpuSocket
 from repro.interconnect.link import Direction
 from repro.interconnect.packets import DATA_BYTES
-from repro.interconnect.switch import Switch
 from repro.memory.cache import NumaClass
 from repro.memory.page_table import PageTable
 from repro.sim.engine import Engine
+from repro.topology.fabric import build_fabric
 
 
 def build_controller(sample_time=1000, record=False):
@@ -23,16 +23,14 @@ def build_controller(sample_time=1000, record=False):
     )
     engine = Engine()
     table = PageTable(config)
-    switch = Switch(2, config.link, engine)
+    switch = build_fabric(config, engine)
     sockets = [GpuSocket(s, config, engine, table, switch) for s in range(2)]
     switch.owners = list(sockets)
-    for link, socket in zip(switch.links, sockets):
-        link.owner = socket
     controller = CachePartitionController(
-        sockets[0], switch.links[0], engine, config.controllers,
+        sockets[0], switch.monitor_port(0), engine, config.controllers,
         record_timeline=record,
     )
-    return controller, sockets[0], switch.links[0], engine
+    return controller, sockets[0], switch.balancer_links[0], engine
 
 
 def saturate_dram(socket, until):

@@ -19,11 +19,11 @@ from repro.config import (
     scaled_config,
 )
 from repro.gpu.socket import GpuSocket
-from repro.interconnect.switch import Switch
 from repro.memory.cache import NumaClass, SetAssocCache
 from repro.memory.page_table import PageTable
 from repro.sim.engine import Engine
 from repro.sim.path import CLS_LOCAL, CLS_REMOTE, ReadPath, WritePath
+from repro.topology.fabric import build_fabric
 
 
 def build_pair(cache_arch=CacheArch.MEM_SIDE, write_policy=WritePolicy.WRITE_BACK):
@@ -36,11 +36,9 @@ def build_pair(cache_arch=CacheArch.MEM_SIDE, write_policy=WritePolicy.WRITE_BAC
     )
     engine = Engine()
     table = PageTable(config)
-    switch = Switch(2, config.link, engine)
+    switch = build_fabric(config, engine)
     sockets = [GpuSocket(s, config, engine, table, switch) for s in range(2)]
     switch.owners = list(sockets)
-    for link, socket in zip(switch.links, sockets):
-        link.owner = socket
     return sockets, engine, table
 
 

@@ -39,8 +39,9 @@ def test_single_socket_has_no_switch_or_balancers():
 def test_links_know_their_owner():
     system = build_system(scaled_config(n_sockets=4, sms_per_socket=2))
     assert system.switch is not None
-    for link, socket in zip(system.switch.links, system.sockets):
-        assert link.owner is socket
+    assert len(system.switch.owners) == len(system.sockets)
+    for sid, socket in enumerate(system.sockets):
+        assert system.switch.owners[sid] is socket
 
 
 def test_static_policy_builds_no_balancers():
@@ -86,7 +87,8 @@ def test_doubled_link_policy_doubles_bandwidth():
     assert system.switch is not None
     from repro.interconnect.link import Direction
 
-    assert system.switch.links[0].bandwidth(Direction.EGRESS) == pytest.approx(
+    link = system.switch.balancer_links[0]
+    assert link.bandwidth(Direction.EGRESS) == pytest.approx(
         2 * cfg.link.direction_bandwidth
     )
 

@@ -27,7 +27,7 @@ from repro.errors import ConfigError, InterconnectError
 from repro.harness.equivalence import canonical_result_json, equivalence_cases
 from repro.harness.runner import ExperimentContext
 from repro.interconnect.link import Direction
-from repro.interconnect.switch import Switch
+from repro.locality.distance import DistanceModel
 from repro.metrics.export import result_from_json_dict, result_to_json_dict
 from repro.sim.engine import Engine
 from repro.topology import (
@@ -261,12 +261,24 @@ def test_build_fabric_single_socket_is_none():
 
 
 def test_build_fabric_default_and_crossbar_are_switch():
+    """Default and explicit crossbar both compile the same star."""
     config = scaled_config(n_sockets=4)
-    assert isinstance(build_fabric(config, Engine()), Switch)
+    half = replace(config.link, latency=config.link.latency // 2)
     explicit = replace(config, topology=crossbar(4, config.link))
-    fabric = build_fabric(explicit, Engine())
-    assert isinstance(fabric, Switch)
-    assert fabric.links[0].config == config.link
+    for fabric in (
+        build_fabric(config, Engine()), build_fabric(explicit, Engine())
+    ):
+        assert fabric.crossbar
+        assert fabric.spec == crossbar(4, half)
+        # One link per socket, labelled as the socket's link, each
+        # carrying half the one link latency.
+        assert [e.label for e in fabric.balancer_links] == [
+            f"link{s}" for s in range(4)
+        ]
+        assert all(e.config == half for e in fabric.edges)
+        assert fabric.distance_model() == DistanceModel.identity(
+            4, config.link.direction_bandwidth
+        )
 
 
 def test_build_fabric_multi_hop_for_other_kinds():
@@ -306,7 +318,7 @@ def test_build_fabric_applies_doubled_policy_per_edge():
     switch = build_fabric(
         replace(config, topology=crossbar(4, config.link)), Engine()
     )
-    assert switch.links[0].config.lane_bandwidth == pytest.approx(
+    assert switch.balancer_links[0].config.lane_bandwidth == pytest.approx(
         2 * config.link.lane_bandwidth
     )
 

@@ -11,10 +11,10 @@ import pytest
 
 from repro.config import PlacementPolicy, scaled_config
 from repro.gpu.socket import make_socket
-from repro.interconnect.switch import Switch
 from repro.memory.page_table import PageTable
 from repro.runtime.uvm import UvmManager
 from repro.sim.engine import Engine
+from repro.topology.fabric import build_fabric
 
 
 def build_sockets(placement=PlacementPolicy.FIRST_TOUCH, n_sockets=2):
@@ -24,15 +24,13 @@ def build_sockets(placement=PlacementPolicy.FIRST_TOUCH, n_sockets=2):
     )
     engine = Engine()
     table = PageTable(config)
-    switch = Switch(n_sockets, config.link, engine) if n_sockets > 1 else None
+    switch = build_fabric(config, engine)
     sockets = [
         make_socket(s, config, engine, table, switch)
         for s in range(n_sockets)
     ]
     if switch is not None:
         switch.owners = list(sockets)
-        for link, socket in zip(switch.links, sockets):
-            link.owner = socket
     return config, engine, table, sockets
 
 
