@@ -15,15 +15,14 @@ from __future__ import annotations
 import argparse
 from dataclasses import replace
 
-from repro import make_workload, run_workload_on, scaled_config
-from repro.config import CtaPolicy, PlacementPolicy
+from repro import CtaSpec, PlacementSpec, make_workload, run_workload_on, scaled_config
 from repro.harness.formatting import format_table
 from repro.workloads.spec import SCALES
 
 POLICIES = (
-    ("traditional", CtaPolicy.INTERLEAVED, PlacementPolicy.FINE_INTERLEAVE),
-    ("page interleave", CtaPolicy.INTERLEAVED, PlacementPolicy.PAGE_INTERLEAVE),
-    ("locality-optimized", CtaPolicy.CONTIGUOUS, PlacementPolicy.FIRST_TOUCH),
+    ("traditional", "interleaved", "fine_interleave"),
+    ("page interleave", "interleaved", "page_interleave"),
+    ("locality-optimized", "contiguous", "first_touch"),
 )
 
 
@@ -48,11 +47,11 @@ def main() -> None:
     print(f"workload: {workload.name} — {workload.description}")
 
     rows = []
-    for label, cta_policy, placement in POLICIES:
+    for label, cta, placement in POLICIES:
         cfg = replace(
             scaled_config(n_sockets=4),
-            cta_policy=cta_policy,
-            placement=placement,
+            cta_spec=CtaSpec(kind=cta),
+            placement_spec=PlacementSpec(kind=placement),
         )
         result = run_workload_on(cfg, workload, scale)
         rows.append(

@@ -22,9 +22,7 @@ True
 
 from repro.config import (
     CacheArch,
-    CtaPolicy,
     LinkPolicy,
-    PlacementPolicy,
     SystemConfig,
     config_digest,
     config_fingerprint,
@@ -47,9 +45,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CacheArch",
-    "CtaPolicy",
     "LinkPolicy",
-    "PlacementPolicy",
     "SystemConfig",
     "WritePolicy",
     "config_digest",

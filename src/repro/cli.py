@@ -23,9 +23,7 @@ import sys
 from repro.analysis.cli import add_lint_arguments, run_lint
 from repro.config import (
     CacheArch,
-    CtaPolicy,
     LinkPolicy,
-    PlacementPolicy,
     scaled_config,
 )
 from repro.core.builder import run_workload_on
@@ -96,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--placement",
         choices=sorted(PLACEMENT_KINDS),
-        default=PlacementPolicy.FIRST_TOUCH.value,
+        default=PlacementSpec().kind,
         help="page-placement policy (repro.locality registry; includes "
         "the distance-aware distance_weighted_first_touch and "
         "access_counter_migration)",
@@ -104,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--cta-policy",
         choices=sorted(CTA_KINDS),
-        default=CtaPolicy.CONTIGUOUS.value,
+        default=CtaSpec().kind,
         help="CTA-assignment policy (repro.locality registry; includes "
         "the affinity-aware distance_affine)",
     )
@@ -278,37 +276,14 @@ def cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    # Historical enum names keep configuring the enum fields (identical
-    # config fingerprints to older CLI runs); registry-only kinds ride
-    # in via the declarative locality specs.
-    enum_placements = {p.value for p in PlacementPolicy}
-    enum_ctas = {p.value for p in CtaPolicy}
     base = scaled_config(n_sockets=args.sockets)
     try:
         config = replace(
             base,
             cache_arch=CacheArch(args.cache),
             link_policy=LinkPolicy(args.links),
-            placement=(
-                PlacementPolicy(args.placement)
-                if args.placement in enum_placements
-                else base.placement
-            ),
-            placement_spec=(
-                None
-                if args.placement in enum_placements
-                else PlacementSpec(kind=args.placement)
-            ),
-            cta_policy=(
-                CtaPolicy(args.cta_policy)
-                if args.cta_policy in enum_ctas
-                else base.cta_policy
-            ),
-            cta_spec=(
-                None
-                if args.cta_policy in enum_ctas
-                else CtaSpec(kind=args.cta_policy)
-            ),
+            placement_spec=PlacementSpec(kind=args.placement),
+            cta_spec=CtaSpec(kind=args.cta_policy),
             topology=(
                 build_topology(args.topology, args.sockets, base.link)
                 if args.topology

@@ -41,26 +41,15 @@ PAGE_SIZE = 4096
 PASCAL_SM_COUNT = 56
 
 
-class PlacementPolicy(enum.Enum):
-    """Memory page-placement policies studied in Section 3."""
+def _locality_spec(name: str) -> type:
+    """One :mod:`repro.locality.spec` class, imported on first use.
 
-    #: Sub-page interleaving across sockets (traditional UMA layout).
-    FINE_INTERLEAVE = "fine_interleave"
-    #: Round-robin page-granularity interleaving (Linux-style).
-    PAGE_INTERLEAVE = "page_interleave"
-    #: First-touch on-demand page migration (locality-optimized runtime).
-    FIRST_TOUCH = "first_touch"
-    #: Everything on socket 0 (single-GPU and hypothetical-KxGPU runs).
-    LOCAL_ONLY = "local_only"
+    :mod:`repro.locality` imports this module (through the fabric's
+    packet sizes), so the spec classes cannot be imported at the top.
+    """
+    from repro.locality import spec
 
-
-class CtaPolicy(enum.Enum):
-    """CTA-to-socket assignment policies (Section 3)."""
-
-    #: Modulo interleaving of CTAs over sockets (traditional scheduling).
-    INTERLEAVED = "interleaved"
-    #: Contiguous block of CTAs per socket (locality-optimized runtime).
-    CONTIGUOUS = "contiguous"
+    return getattr(spec, name)
 
 
 class CacheArch(enum.Enum):
@@ -189,8 +178,6 @@ class SystemConfig:
     gpu: GpuConfig = field(default_factory=GpuConfig)
     link: LinkConfig = field(default_factory=LinkConfig)
     controllers: ControllerConfig = field(default_factory=ControllerConfig)
-    placement: PlacementPolicy = PlacementPolicy.FIRST_TOUCH
-    cta_policy: CtaPolicy = CtaPolicy.CONTIGUOUS
     cache_arch: CacheArch = CacheArch.MEM_SIDE
     link_policy: LinkPolicy = LinkPolicy.STATIC
     l2_write_policy: WritePolicy = WritePolicy.WRITE_BACK
@@ -211,22 +198,33 @@ class SystemConfig:
     #: The annotation is a string to keep :mod:`repro.config` importable
     #: before :mod:`repro.topology` (which imports LinkConfig from here).
     topology: "TopologySpec | None" = None  # noqa: F821
-    #: optional declarative locality policies
-    #: (:class:`repro.locality.spec.PlacementSpec` / ``CtaSpec``). ``None``
-    #: means "the policy the ``placement`` / ``cta_policy`` enum names";
-    #: a spec *overrides* its enum (see :attr:`placement_kind` /
-    #: :attr:`cta_kind`), selecting from the registries in
-    #: :mod:`repro.locality` — including the distance-aware policies the
-    #: enums cannot name. String annotations for the same import-order
+    #: the page-placement and CTA-assignment policies
+    #: (:class:`repro.locality.spec.PlacementSpec` / ``CtaSpec``): a
+    #: registered :mod:`repro.locality` policy kind plus its tuning knobs,
+    #: one field per policy. The defaults are the paper's
+    #: locality-optimized runtime (first touch, contiguous CTA blocks).
+    #: String annotations and lazy defaults for the same import-order
     #: reason as ``topology``.
-    placement_spec: "PlacementSpec | None" = None  # noqa: F821
-    cta_spec: "CtaSpec | None" = None  # noqa: F821
+    placement_spec: "PlacementSpec" = field(  # noqa: F821
+        default_factory=lambda: _locality_spec("PlacementSpec")()
+    )
+    cta_spec: "CtaSpec" = field(  # noqa: F821
+        default_factory=lambda: _locality_spec("CtaSpec")()
+    )
 
     def __post_init__(self) -> None:
         if self.n_sockets < 1:
             raise ConfigError("need at least one socket")
         if self.interleave_granularity < LINE_SIZE:
             raise ConfigError("interleave granularity below line size")
+        for name, spec_type in (("placement_spec", "PlacementSpec"),
+                                ("cta_spec", "CtaSpec")):
+            value = getattr(self, name)
+            if not isinstance(value, _locality_spec(spec_type)):
+                raise ConfigError(
+                    f"{name} must be a repro.locality.{spec_type}, "
+                    f"got {type(value).__name__} {value!r}"
+                )
         topo = self.topology
         if topo is not None:
             topo_sockets = getattr(topo, "n_sockets", None)
@@ -240,20 +238,6 @@ class SystemConfig:
     def total_sms(self) -> int:
         """SMs across all sockets."""
         return self.n_sockets * self.gpu.sms
-
-    @property
-    def placement_kind(self) -> str:
-        """Effective page-placement policy kind (spec overrides enum)."""
-        if self.placement_spec is not None:
-            return self.placement_spec.kind
-        return self.placement.value
-
-    @property
-    def cta_kind(self) -> str:
-        """Effective CTA-assignment policy kind (spec overrides enum)."""
-        if self.cta_spec is not None:
-            return self.cta_spec.kind
-        return self.cta_policy.value
 
     def describe(self) -> dict[str, str]:
         """Table 1-style parameter dump (used by the table1 experiment)."""
@@ -365,17 +349,14 @@ def single_gpu_config(config: SystemConfig) -> SystemConfig:
     return replace(
         config,
         n_sockets=1,
-        placement=PlacementPolicy.LOCAL_ONLY,
-        cta_policy=CtaPolicy.CONTIGUOUS,
+        # The single-GPU baseline is local_only + contiguous by definition.
+        placement_spec=_locality_spec("PlacementSpec")(kind="local_only"),
+        cta_spec=_locality_spec("CtaSpec")(),
         cache_arch=CacheArch.MEM_SIDE,
         link_policy=LinkPolicy.STATIC,
         # One socket has no interconnect; a multi-socket topology would
-        # otherwise fail the socket-count validation. Locality specs are
-        # dropped for the same reason the enums are overridden above: the
-        # single-GPU baseline is LOCAL_ONLY + contiguous by definition.
+        # otherwise fail the socket-count validation.
         topology=None,
-        placement_spec=None,
-        cta_spec=None,
     )
 
 

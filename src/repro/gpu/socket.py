@@ -68,7 +68,7 @@ class _LineRec:
     """Fused per-line access record (one dict probe instead of three).
 
     ``home`` is the line's settled home socket, or ``-1`` while the
-    page's placement charge is unsettled (FIRST_TOUCH pages before their
+    page's placement charge is unsettled (first_touch pages before their
     claim, and always under dynamic policies, whose touch counters must
     see every access). ``rp`` is the in-flight :class:`ReadPath` for the
     line, or ``None`` — the walker's ``w_sm``/``w_cb``/``w_more`` fields
@@ -211,13 +211,13 @@ class GpuSocket:
         )
         # A single-socket system homes everything locally with zero
         # migration charge, so translation can be skipped wholesale —
-        # except under FIRST_TOUCH, where the placement never claims pages
+        # except under first_touch, where the page table never claims pages
         # on a 1-socket system and therefore bills the first-touch copy on
         # every access; that combination must keep using translate().
         # make_socket() builds a LocalGpuSocket for exactly this case.
         self._always_local = (
             config.n_sockets == 1
-            and not page_table.placement.policy_obj.bills_single_socket_touch
+            and not page_table.policy.bills_single_socket_touch
         )
         # Dynamic placement policies forbid caching settled homes: their
         # re-home decisions count every touch, and a warm record would
@@ -389,7 +389,7 @@ class GpuSocket:
         line_size = self.line_size
         page_table = self.page_table
         translate = page_table.translate
-        is_first_touch = page_table.placement.is_first_touch
+        is_first_touch = page_table.policy.is_first_touch
         noc_latency = self.noc_latency
         engine = self.engine
         now = engine.now
@@ -447,7 +447,7 @@ class GpuSocket:
                             migration_extra == 0 or not is_first_touch(addr)
                         ):
                             # Record only once the page's charge is
-                            # settled; see the FIRST_TOUCH single-socket
+                            # settled; see the first_touch single-socket
                             # caveat in __init__. Dynamic policies never
                             # fill (fill_xlate False): every access must
                             # reach the touch counters.
@@ -687,7 +687,7 @@ class GpuSocket:
             return rec.home
         addr = line * self.line_size
         home, extra = self.page_table.translate(addr, self.socket_id)
-        if extra == 0 or not self.page_table.placement.is_first_touch(addr):
+        if extra == 0 or not self.page_table.policy.is_first_touch(addr):
             if rec is None:
                 rec = _LineRec()
                 self._lines[line] = rec
@@ -1059,7 +1059,7 @@ def make_socket(
     """
     if (
         config.n_sockets == 1
-        and not page_table.placement.policy_obj.bills_single_socket_touch
+        and not page_table.policy.bills_single_socket_touch
     ):
         return LocalGpuSocket(socket_id, config, engine, page_table, switch)
     return GpuSocket(socket_id, config, engine, page_table, switch)

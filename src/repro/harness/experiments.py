@@ -834,7 +834,7 @@ class LocalitySweepResult:
     """Placement x CTA policy x fabric x socket-count study.
 
     Every cell is normalized to the *distance-blind* baseline
-    (``FIRST_TOUCH`` + ``contiguous``, no locality specs) on the same
+    (the default ``first_touch`` + ``contiguous`` specs) on the same
     fabric and socket count, so the columns read "what does
     distance-awareness buy on this interconnect".
     """
@@ -907,7 +907,7 @@ def locality_sweep(
     """Placement x CTA policy x fabric x socket-count sweep.
 
     The distance-blind baseline of every fabric/socket cell is the plain
-    topology config (``FIRST_TOUCH`` + ``contiguous``, no locality
+    topology config (the default ``first_touch`` + ``contiguous``
     specs) — the identical configuration the topology sweep runs, so
     baselines come from (and warm) the shared result cache. Reported per
     cell: geomean speedup, packet-weighted mean hops (aggregated route

@@ -21,9 +21,7 @@ from typing import TYPE_CHECKING
 
 from repro.config import (
     CacheArch,
-    CtaPolicy,
     LinkPolicy,
-    PlacementPolicy,
     SystemConfig,
     WritePolicy,
     config_fingerprint,
@@ -76,8 +74,8 @@ class ExperimentContext:
         """Traditional single-GPU policies on the NUMA system (Fig 3 green)."""
         return replace(
             self.base_config(),
-            cta_policy=CtaPolicy.INTERLEAVED,
-            placement=PlacementPolicy.FINE_INTERLEAVE,
+            cta_spec=CtaSpec(kind="interleaved"),
+            placement_spec=PlacementSpec(kind="fine_interleave"),
         )
 
     def config_locality(self, n_sockets: int | None = None) -> SystemConfig:
@@ -151,9 +149,10 @@ class ExperimentContext:
         forwards tuning knobs (``touch_window``,
         ``migration_threshold``, ``max_migrations_per_page``) to the
         :class:`~repro.locality.spec.PlacementSpec`. The distance-blind
-        baseline of a locality experiment is the same fabric with *no*
-        specs (plain :meth:`config_topology` / :meth:`base_config`), so
-        baseline runs share the result cache with the topology sweep.
+        ``first_touch`` / ``contiguous`` baseline of a locality experiment
+        is the same config as plain :meth:`config_topology` /
+        :meth:`base_config`, so baseline runs share the result cache with
+        the topology sweep.
         """
         if kind is not None:
             base = self.config_topology(kind, n_sockets, combined=combined)

@@ -62,16 +62,11 @@ from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.config import (
-    CacheArch,
-    CtaPolicy,
-    LinkPolicy,
-    PlacementPolicy,
-    config_digest,
-)
+from repro.config import CacheArch, LinkPolicy, config_digest
 from repro.errors import ExecutionError
 from repro.harness import faults
 from repro.harness.formatting import format_table
+from repro.locality.spec import CtaSpec, PlacementSpec
 from repro.sim.instrumentation import SIM_TALLY
 from repro.workloads.spec import WorkloadScale
 
@@ -356,18 +351,10 @@ def repro_command_for(task: "RunTask", scale_name: str) -> str:
         parts += ["--cache", config.cache_arch.value]
     if config.link_policy is not LinkPolicy.STATIC:
         parts += ["--links", config.link_policy.value]
-    placement = (
-        config.placement_spec.kind if config.placement_spec is not None
-        else config.placement.value
-    )
-    if placement != PlacementPolicy.FIRST_TOUCH.value:
-        parts += ["--placement", placement]
-    cta = (
-        config.cta_spec.kind if config.cta_spec is not None
-        else config.cta_policy.value
-    )
-    if cta != CtaPolicy.CONTIGUOUS.value:
-        parts += ["--cta-policy", cta]
+    if config.placement_spec.kind != PlacementSpec().kind:
+        parts += ["--placement", config.placement_spec.kind]
+    if config.cta_spec.kind != CtaSpec().kind:
+        parts += ["--cta-policy", config.cta_spec.kind]
     if config.topology is not None:
         parts += ["--topology", config.topology.kind]
     return " ".join(parts)

@@ -3,31 +3,27 @@
 The paper's central claim (Sections 3-4) is that a NUMA-aware GPU only
 works when the *software* locality policy — where pages are homed and
 which socket runs which CTA block — cooperates with the interconnect.
-Before this package, both policy sites were hardcoded enum chains
-(``memory/placement.py``'s if/elif ladder and
-``runtime/scheduler.assign_ctas``) that could not see the fabric at all;
-after PR 4 made fabrics multi-hop, that distance-blindness is exactly the
-ring/mesh gap the topology driver measures at 8-16 sockets.
+On multi-hop fabrics a distance-blind policy is exactly the ring/mesh
+gap the topology driver measures at 8-16 sockets.
 
-This package unifies both sites behind one declarative, distance-aware
-policy layer:
+This package is the one policy surface for both levers:
 
 * :mod:`repro.locality.distance` — :class:`DistanceModel`, the hop-count
   and bottleneck-bandwidth matrices every fabric exposes (identity for
   the crossbar, routing-table derived for multi-hop fabrics);
 * :mod:`repro.locality.placement` — the page-placement policy registry:
-  the four historical policies ported unchanged, plus the distance-aware
+  the paper's four policies plus the distance-aware
   ``distance_weighted_first_touch`` and ``access_counter_migration``;
-* :mod:`repro.locality.cta` — the CTA-assignment policy registry:
-  ``contiguous`` and ``round_robin``/``interleaved`` ported unchanged,
-  plus the affinity-aware ``distance_affine``;
+* :mod:`repro.locality.cta` — the CTA-assignment policy registry: the
+  paper's ``contiguous`` and ``interleaved`` plus the affinity-aware
+  ``distance_affine``;
 * :mod:`repro.locality.spec` — the frozen policy specs
   (:class:`PlacementSpec` / :class:`CtaSpec`) that
-  :class:`repro.config.SystemConfig` carries, so a locality policy is
-  part of every run's content-addressed identity exactly like a
-  topology.
+  :class:`repro.config.SystemConfig` carries as its only policy fields,
+  so a locality policy is part of every run's content-addressed
+  identity exactly like a topology.
 
-Default-config behaviour (crossbar, ``FIRST_TOUCH``, ``contiguous``) is
+The default config (crossbar, ``first_touch``, ``contiguous``) is
 byte-identical to the pre-locality simulator; see DESIGN.md, "Locality
 layer".
 """
@@ -36,7 +32,6 @@ from repro.locality.cta import (
     CTA_POLICIES,
     CtaAssignmentPolicy,
     build_cta_policy,
-    resolve_cta_policy,
 )
 from repro.locality.distance import DistanceModel
 from repro.locality.placement import (
@@ -58,5 +53,4 @@ __all__ = [
     "PlacementSpec",
     "build_cta_policy",
     "build_page_policy",
-    "resolve_cta_policy",
 ]

@@ -1,17 +1,18 @@
 """CTA-assignment policy registry (Section 3's scheduling axis).
 
 Each policy partitions a kernel's CTA indices into per-socket blocks
-behind a uniform protocol, replacing the hardcoded branch in
-``runtime/scheduler.assign_ctas`` (now a compatibility wrapper over this
-registry). The two original policies are ported unchanged:
+behind a uniform protocol; the system builds the one policy a config's
+``cta_spec`` selects (:func:`build_cta_policy`) and hands it to the
+:class:`~repro.runtime.launcher.Launcher`. The paper's two Section 3
+policies:
 
 * ``contiguous`` — balanced contiguous blocks, one per socket (the
   locality-optimized runtime: neighbouring CTAs share a socket, so
   first-touch placement captures their shared pages);
-* ``round_robin`` (canonical name of the historical ``interleaved``
-  enum value) — modulo assignment, the fine-grained single-GPU policy.
+* ``interleaved`` — modulo assignment, the fine-grained single-GPU
+  policy.
 
-New:
+Beyond the paper:
 
 * ``distance_affine`` — affinity-aware assignment: each CTA is placed
   on the socket minimizing the distance-weighted cost of reaching the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError, RuntimeLaunchError
+from repro.errors import RuntimeLaunchError
 from repro.locality.distance import DistanceModel
 from repro.locality.spec import CtaSpec
 
@@ -98,7 +99,7 @@ class ContiguousCta(CtaAssignmentPolicy):
 class RoundRobinCta(CtaAssignmentPolicy):
     """Modulo assignment (CTA i to socket i % N)."""
 
-    kind = "round_robin"
+    kind = "interleaved"
 
     def assign(self, n_ctas: int, sockets, kernel=None) -> list[list[int]]:
         n_sockets = len(sockets)
@@ -113,40 +114,28 @@ class DistanceAffineCta(CtaAssignmentPolicy):
 
     kind = "distance_affine"
 
-    def __init__(
-        self,
-        page_table: "PageTable | None" = None,
-        distance: DistanceModel | None = None,
-    ) -> None:
+    def __init__(self, page_table: "PageTable",
+                 distance: DistanceModel) -> None:
         self._page_table = page_table
         self._distance = distance
         self._fallback = ContiguousCta()
-
-    def attach(self, page_table: "PageTable",
-               distance: DistanceModel) -> None:
-        """Wire the live page-home table and fabric distance model."""
-        self._page_table = page_table
-        self._distance = distance
 
     def assign(self, n_ctas: int, sockets, kernel=None) -> list[list[int]]:
         n_sockets = len(sockets)
         _validate(n_ctas, n_sockets)
         if n_sockets == 1:
             return [list(range(n_ctas))]
-        page_table = self._page_table
+        placement = self._page_table.policy
         if (
             kernel is None
-            or page_table is None
-            or self._distance is None
-            or not page_table.placement.claims_pages
-            or not page_table.placement._page_home
+            or not placement.claims_pages
+            or not placement.page_home
         ):
             # No affinity signal yet (first kernel of a first-touch run,
             # or an arithmetic placement): contiguous seeds locality.
             return self._fallback.assign(n_ctas, sockets, kernel)
-        homes = page_table.placement._page_home
-        get_home = homes.get
-        page_size = page_table.placement.page_size
+        get_home = placement.page_home.get
+        page_size = placement.page_size
         # Bandwidth-weighted hop costs: on uniform fabrics this IS the
         # hop matrix; on asymmetric ones (switch-tree trunk) routes
         # through thin links cost proportionally more.
@@ -180,58 +169,28 @@ class DistanceAffineCta(CtaAssignmentPolicy):
         return blocks
 
 
-#: kind -> policy; ``interleaved`` is the historical enum value of the
-#: round-robin policy (both names resolve to the same class).
+#: kind -> policy class; the registry behind ``build_cta_policy`` and
+#: the ``repro run --cta-policy`` CLI choices.
 CTA_POLICIES: dict[str, type[CtaAssignmentPolicy]] = {
-    "contiguous": ContiguousCta,
-    "round_robin": RoundRobinCta,
-    "interleaved": RoundRobinCta,
-    "distance_affine": DistanceAffineCta,
+    cls.kind: cls for cls in (ContiguousCta, RoundRobinCta, DistanceAffineCta)
 }
 
 
 def build_cta_policy(
     config: "SystemConfig",
-    page_table: "PageTable | None" = None,
-    distance: DistanceModel | None = None,
+    page_table: "PageTable",
+    distance: DistanceModel,
 ) -> CtaAssignmentPolicy:
-    """Instantiate the CTA policy a config selects (spec overrides enum)."""
-    spec = config.cta_spec
-    kind = spec.kind if spec is not None else config.cta_policy.value
-    cls = CTA_POLICIES.get(kind)
-    if cls is None:
-        raise ConfigError(
-            f"unknown CTA policy kind {kind!r}; known: {sorted(CTA_POLICIES)}"
-        )
+    """Instantiate the policy ``config.cta_spec`` selects.
+
+    ``page_table`` and ``distance`` are required so ``distance_affine``
+    is always wired: an unwired affine policy would silently degrade to
+    ``contiguous`` through its no-signal fallback. ``CtaSpec`` has
+    already rejected unknown kinds.
+    """
+    cls = CTA_POLICIES[config.cta_spec.kind]
     if cls is DistanceAffineCta:
         return DistanceAffineCta(page_table, distance)
-    return cls()
-
-
-def resolve_cta_policy(policy) -> CtaAssignmentPolicy:
-    """Normalize an enum / kind string / policy object to a policy object.
-
-    The compatibility entry the launcher and ``assign_ctas`` wrapper use
-    so historical call sites passing :class:`repro.config.CtaPolicy`
-    enums keep working unchanged.
-    """
-    if isinstance(policy, CtaAssignmentPolicy):
-        return policy
-    kind = getattr(policy, "value", policy)
-    cls = CTA_POLICIES.get(kind)
-    if cls is None:
-        raise ConfigError(
-            f"unknown CTA policy {policy!r}; known: {sorted(CTA_POLICIES)}"
-        )
-    if cls is DistanceAffineCta:
-        # An unwired affine policy would silently degrade to contiguous
-        # through its no-signal fallback — refuse rather than let a
-        # caller believe they measured affinity-aware scheduling.
-        raise ConfigError(
-            "distance_affine needs page-table and distance-model wiring; "
-            "build it via repro.locality.cta.build_cta_policy (the system "
-            "builder does this automatically for cta_spec configs)"
-        )
     return cls()
 
 
@@ -243,5 +202,4 @@ __all__ = [
     "DistanceAffineCta",
     "RoundRobinCta",
     "build_cta_policy",
-    "resolve_cta_policy",
 ]

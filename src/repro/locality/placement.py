@@ -1,16 +1,16 @@
 """Page-placement policy registry (Section 3 + the §4 dynamic migration).
 
 Each policy answers *which socket is the home of this address?* behind a
-uniform protocol, replacing the historical if/elif chain in
-:class:`repro.memory.placement.Placement` (now a thin facade over one
-policy object). The four original policies are ported unchanged:
+uniform protocol; :class:`repro.memory.page_table.PageTable` holds the
+one policy a config's ``placement_spec`` selects. The paper's four
+Section 3 policies:
 
 * ``fine_interleave`` — sub-page interleaving (traditional UMA layout);
 * ``page_interleave`` — Linux-style round-robin page placement;
 * ``first_touch`` — UVM on-demand migration to the first toucher;
 * ``local_only`` — everything on socket 0.
 
-Two distance-aware policies are new:
+Two distance-aware policies go beyond the paper:
 
 * ``distance_weighted_first_touch`` — first touch, plus hop-weighted
   re-homing: every ``touch_window`` touches of a page the policy
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.errors import ConfigError
 from repro.interconnect.packets import DATA_BYTES
 from repro.locality.distance import DistanceModel
 from repro.locality.spec import PlacementSpec
@@ -72,10 +71,10 @@ class PagePolicy:
     * ``claims_pages`` — the policy maintains a ``page -> home`` table
       (the first-touch family), which is what UVM prefetch pins into;
     * ``dynamic`` — homes may move after the first touch (re-homing);
-    * ``bills_single_socket_touch`` — the historical ``FIRST_TOUCH``
-      quirk: on a one-socket system the policy never claims pages, so
-      every access keeps billing the first-touch copy (pinned by the
-      hot-path goldens).
+    * ``bills_single_socket_touch`` — the ``first_touch`` quirk: on a
+      one-socket system the page table never claims pages, so every
+      access keeps billing the first-touch copy (pinned by the hot-path
+      goldens).
     """
 
     kind = ""
@@ -118,8 +117,8 @@ class PagePolicy:
     # ------------------------------------------------------------------
     # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
     # ------------------------------------------------------------------
-    # Geometry and the spec are construction-time; ``stats`` is the
-    # Placement facade's StatGroup and is captured by the facade.
+    # Geometry and the spec are construction-time; ``stats`` is captured
+    # beside the policy state by repro.sim.snapshot.
     _SNAPSHOT_EXEMPT = (
         "n_sockets",
         "page_size",
@@ -140,7 +139,7 @@ class PagePolicy:
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`snapshot_state`.
 
-        The table is refilled *in place*: ``Placement._page_home``
+        The table is refilled *in place*: ``PageTable._page_home``
         aliases this dict (the fused first-touch path and UVM prefetch
         write it directly), so the object identity must survive restore.
         """
@@ -497,14 +496,9 @@ PAGE_POLICIES: dict[str, type[PagePolicy]] = {
 
 
 def build_page_policy(config: "SystemConfig", stats: StatGroup) -> PagePolicy:
-    """Instantiate the policy a config selects (spec overrides enum)."""
+    """Instantiate the policy ``config.placement_spec`` selects.
+
+    ``PlacementSpec`` has already rejected unknown kinds.
+    """
     spec = config.placement_spec
-    if spec is None:
-        spec = PlacementSpec(kind=config.placement.value)
-    cls = PAGE_POLICIES.get(spec.kind)
-    if cls is None:
-        raise ConfigError(
-            f"unknown placement kind {spec.kind!r}; "
-            f"known: {sorted(PAGE_POLICIES)}"
-        )
-    return cls(config, spec, stats)
+    return PAGE_POLICIES[spec.kind](config, spec, stats)

@@ -1,17 +1,14 @@
 """Declarative locality-policy specs carried by :class:`SystemConfig`.
 
 A :class:`PlacementSpec` / :class:`CtaSpec` names a registered policy
-*kind* plus its tuning parameters. Both are frozen dataclasses of plain
-scalars, so :func:`repro.config.config_fingerprint` canonicalizes them
-exactly like every other config field — a locality policy can never be
-silently dropped from a run's content-addressed identity.
-
-``SystemConfig`` keeps its historical ``placement`` / ``cta_policy``
-enums as the compatibility surface for the four original policies; a
-non-``None`` spec *overrides* the corresponding enum (see
-``SystemConfig.placement_kind`` / ``cta_kind``). The default config
-carries no specs, which keeps its fingerprint-derived labels — and the
-``tests/golden/hotpath`` goldens — byte-identical.
+*kind* plus its tuning parameters. They are the only way a config picks
+its page-placement and CTA-assignment policies (``SystemConfig``'s
+``placement_spec`` / ``cta_spec`` fields, which default to the paper's
+``first_touch`` + ``contiguous`` runtime). Both are frozen dataclasses
+of plain scalars, so :func:`repro.config.config_fingerprint`
+canonicalizes them exactly like every other config field — a locality
+policy can never be silently dropped from a run's content-addressed
+identity, and two configs naming the same policies share one identity.
 """
 
 from __future__ import annotations
@@ -20,10 +17,9 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-#: Registered page-placement policy kinds. The first four are the
-#: historical :class:`repro.config.PlacementPolicy` enum values, ported
-#: unchanged into :mod:`repro.locality.placement`; the last two are the
-#: distance-aware additions.
+#: Registered page-placement policy kinds: the paper's four Section 3
+#: policies, then the two distance-aware additions
+#: (:mod:`repro.locality.placement`).
 PLACEMENT_KINDS = (
     "fine_interleave",
     "page_interleave",
@@ -33,13 +29,10 @@ PLACEMENT_KINDS = (
     "access_counter_migration",
 )
 
-#: Registered CTA-assignment policy kinds. ``round_robin`` is the
-#: canonical name of the historical ``interleaved`` enum value (both
-#: resolve to the same policy).
+#: Registered CTA-assignment policy kinds (:mod:`repro.locality.cta`).
 CTA_KINDS = (
     "contiguous",
     "interleaved",
-    "round_robin",
     "distance_affine",
 )
 

@@ -1,10 +1,9 @@
-"""Memory substrate: placement, page table, caches, DRAM, coherence."""
+"""Memory substrate: page table, caches, DRAM, coherence."""
 
 from repro.memory.cache import EvictedLine, NumaClass, SetAssocCache
 from repro.memory.coherence import CoherenceDomain, FlushResult
 from repro.memory.dram import DramChannel
 from repro.memory.page_table import PageTable
-from repro.memory.placement import Placement
 
 __all__ = [
     "EvictedLine",
@@ -14,5 +13,4 @@ __all__ = [
     "FlushResult",
     "DramChannel",
     "PageTable",
-    "Placement",
 ]

@@ -1,9 +1,17 @@
-"""Page table wrapper: home lookup plus migration-latency accounting.
+"""Page table: the placement policy plus UVM translation mechanics.
 
-The :class:`repro.memory.placement.Placement` policy decides *where* a page
-lives; this module adds the UVM mechanics around it — the one-time
-migration charge a first-touch access pays while the page is copied from
-system memory into the toucher's local DRAM (Section 3).
+The page table holds the one :class:`repro.locality.placement.PagePolicy`
+that :func:`~repro.locality.placement.build_page_policy` builds from the
+config's ``placement_spec``. The policy decides *where* a page lives;
+this module adds the UVM mechanics around it — the one-time migration
+charge a first-touch access pays while the page is copied from system
+memory into the toucher's local DRAM (Section 3) — and the two rules
+every policy shares:
+
+* an accessor outside ``0..n_sockets-1`` raises :class:`PlacementError`;
+* a one-socket system homes every address at socket 0 without claiming
+  any page (so under ``first_touch`` every access keeps billing the
+  first-touch copy — the quirk the hot-path goldens pin).
 
 Translation caching
 -------------------
@@ -17,7 +25,7 @@ run; the dynamic locality policies migrating pages mid-run) can call
 :meth:`invalidate_page` and atomically drop every stale cached line of
 that page across all sockets.
 
-Dynamic policies (``placement.dynamic``) additionally disable cache
+Dynamic policies (``policy.dynamic``) additionally disable cache
 *filling* entirely (:attr:`cacheable`): their re-home decisions are
 driven by per-page touch counters, and a warm line cache would hide
 exactly the accesses those counters need. Their demand accesses route
@@ -29,18 +37,27 @@ the counters.
 from __future__ import annotations
 
 from repro.config import SystemConfig
-from repro.memory.placement import Placement
+from repro.errors import PlacementError
+from repro.locality.placement import build_page_policy
 from repro.sim.stats import StatGroup, flatten_slots
+
+
+def _accessor_error(accessor: int, n_sockets: int) -> PlacementError:
+    return PlacementError(
+        f"accessor socket {accessor} out of range 0..{n_sockets - 1}"
+    )
 
 
 class PageTable:
     """Resolves addresses to home sockets and prices first-touch faults."""
 
     __slots__ = (
-        "placement",
+        "policy",
+        "n_sockets",
         "migration_latency",
         "cacheable",
-        "_policy",
+        "_page_home",
+        "_page_size",
         "_dynamic",
         "_fused_first_touch",
         "_stats",
@@ -60,16 +77,24 @@ class PageTable:
     )
 
     def __init__(self, config: SystemConfig) -> None:
-        self.placement = Placement(config)
+        #: the placement policy; its ``stats`` group counts migrations
+        #: and re-homes.
+        self.policy = build_page_policy(config, StatGroup("placement"))
+        self.n_sockets = config.n_sockets
         self.migration_latency = config.migration_latency
-        self._policy = self.placement.policy_obj
         #: whether sockets may fill their line->home caches.
-        self.cacheable = self.placement.cacheable
-        self._dynamic = self.placement.dynamic
-        # The fused fast path below applies to the plain first-touch
-        # policy on a real NUMA system (see translate()).
+        self.cacheable = self.policy.cacheable
+        #: the policy's page -> home table (shared object: the fused
+        #: first-touch path below and UVM prefetch write it directly).
+        self._page_home = self.policy.page_home
+        self._page_size = config.page_size
+        # One socket homes everything at 0 without claiming (see
+        # _home), so the policy-specific paths below apply only to real
+        # NUMA systems: the plain first-touch policy gets the fused fast
+        # path, the dynamic policies their counted touch entry.
+        self._dynamic = self.policy.dynamic and config.n_sockets > 1
         self._fused_first_touch = (
-            self.placement.kind == "first_touch" and config.n_sockets > 1
+            self.policy.kind == "first_touch" and config.n_sockets > 1
         )
         self._stats = StatGroup("page_table")
         self.n_faults = 0
@@ -97,7 +122,7 @@ class PageTable:
         to weight re-home decisions by hop distance. A no-op for the
         static policies.
         """
-        self._policy.attach(fabric, engine, distance, self)
+        self.policy.attach(fabric, engine, distance, self)
 
     def translate(
         self, addr: int, accessor: int, is_write: bool = False
@@ -114,42 +139,37 @@ class PageTable:
         (which it must not ping-pong) from write-shared ones.
 
         (Hot path: runs on every translation-cache miss — and on *every*
-        access under a dynamic policy — so the first-touch probe and the
-        home lookup are fused into a single page computation and dict
-        probe instead of chaining ``Placement.is_first_touch`` +
-        ``Placement.home_socket`` — the counters and claim side effects
-        are identical.)
+        access under a dynamic policy — so under plain first touch the
+        first-touch probe and the home lookup are fused into a single
+        page computation and dict probe instead of chaining the policy's
+        ``is_first_touch`` + ``home_socket`` — the counters and claim
+        side effects are identical.)
         """
-        placement = self.placement
         if self._fused_first_touch:
-            # On one socket, home_socket() returns 0 *without* claiming
-            # the page, so every access stays a billed first touch — the
-            # fused path must not claim either; it applies only to real
-            # NUMA systems (the n_sockets > 1 gate in __init__).
-            if accessor < 0 or accessor >= placement.n_sockets:
-                placement.home_socket(addr, accessor)  # canonical range error
-            page = addr // placement.page_size
-            home = placement._page_home.get(page)
+            if accessor < 0 or accessor >= self.n_sockets:
+                raise _accessor_error(accessor, self.n_sockets)
+            page = addr // self._page_size
+            home = self._page_home.get(page)
             self.n_translations += 1
             if home is None:
                 self.n_faults += 1
-                placement._page_home[page] = accessor
-                placement.stats.add("migrations")
+                self._page_home[page] = accessor
+                self.policy.stats.add("migrations")
                 return accessor, self.migration_latency
             return home, 0
-        if self._dynamic and placement.n_sockets > 1:
-            if accessor < 0 or accessor >= placement.n_sockets:
-                placement.home_socket(addr, accessor)  # canonical range error
-            home, extra = self._policy.touch(addr, accessor, is_write)
+        if self._dynamic:
+            if accessor < 0 or accessor >= self.n_sockets:
+                raise _accessor_error(accessor, self.n_sockets)
+            home, extra = self.policy.touch(addr, accessor, is_write)
             self.n_translations += 1
             if extra:
                 self.n_faults += 1
             return home, extra
         extra = 0
-        if placement.is_first_touch(addr):
+        if self.policy.is_first_touch(addr):
             extra = self.migration_latency
             self.n_faults += 1
-        home = placement.home_socket(addr, accessor)
+        home = self._home(addr, accessor)
         self.n_translations += 1
         return home, extra
 
@@ -161,16 +181,26 @@ class PageTable:
         the touch counters: write-back background traffic must not skew
         re-home decisions.
         """
-        placement = self.placement
-        if placement.n_sockets == 1:
+        if self.n_sockets == 1:
             return 0
         if self._dynamic:
-            return self._policy.peek(addr, accessor)
-        if placement.claims_pages:
-            return placement._page_home.get(
-                addr // placement.page_size, accessor
-            )
-        return placement.home_socket(addr, accessor)
+            return self.policy.peek(addr, accessor)
+        if self.policy.claims_pages:
+            return self._page_home.get(addr // self._page_size, accessor)
+        return self._home(addr, accessor)
+
+    def _home(self, addr: int, accessor: int) -> int:
+        """Home under the shared rules: range check, one socket homes at 0.
+
+        For the first-touch family the policy claims the page for the
+        accessor on its first call and counts a migration (the page
+        moves from system memory into that GPU's local DRAM).
+        """
+        if accessor < 0 or accessor >= self.n_sockets:
+            raise _accessor_error(accessor, self.n_sockets)
+        if self.n_sockets == 1:
+            return 0
+        return self.policy.home_socket(addr, accessor)
 
     # ------------------------------------------------------------------
     # translation-cache registry
@@ -228,24 +258,27 @@ class PageTable:
     @property
     def migrations(self) -> int:
         """Pages migrated on first touch so far."""
-        return self.placement.migrations
+        return self.policy.stats["migrations"]
 
     @property
     def re_homed_pages(self) -> int:
         """Dynamic re-homes performed so far (zero for static policies)."""
-        return self.placement.re_homes
+        return self.policy.stats["re_homes"]
 
     # ------------------------------------------------------------------
     # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
     # ------------------------------------------------------------------
-    # The placement facade snapshots itself (it is shared wiring, not
-    # owned state here); the registered line caches belong to the sockets
-    # and are captured there.
+    # The policy's own state (page->home table, counters, stats) is
+    # captured by repro.sim.snapshot as the payload's "placement" entry;
+    # the registered line caches belong to the sockets and are captured
+    # there.
     _SNAPSHOT_EXEMPT = (
-        "placement",
+        "policy",
+        "n_sockets",
         "migration_latency",
         "cacheable",
-        "_policy",
+        "_page_home",
+        "_page_size",
         "_dynamic",
         "_fused_first_touch",
         "_stats",
@@ -255,7 +288,7 @@ class PageTable:
     )
 
     def snapshot_state(self) -> dict:
-        """Translation counters (the policy state lives in Placement)."""
+        """Translation counters (the policy snapshots separately)."""
         return {
             "faults": self.n_faults,
             "translations": self.n_translations,

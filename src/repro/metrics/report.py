@@ -225,11 +225,9 @@ def collect_results(system: "NumaGpuSystem", workload_name: str) -> RunResult:
 
 def _config_label(system: "NumaGpuSystem", routed: bool) -> str:
     cfg = system.config
-    # The effective policy kinds: identical to the historical enum
-    # values unless a locality spec overrides them (goldens pin the
-    # default labels).
+    # The policy kind strings (goldens pin the default labels).
     label = (
-        f"{cfg.n_sockets}s/{cfg.cta_kind}/{cfg.placement_kind}/"
+        f"{cfg.n_sockets}s/{cfg.cta_spec.kind}/{cfg.placement_spec.kind}/"
         f"{cfg.cache_arch.value}/{cfg.link_policy.value}"
     )
     if routed:

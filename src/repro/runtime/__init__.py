@@ -8,7 +8,6 @@ from repro.runtime.partitioning import (
     TenantResult,
     run_partitioned,
 )
-from repro.runtime.scheduler import assign_ctas
 from repro.runtime.uvm import UvmManager
 
 __all__ = [
@@ -19,6 +18,5 @@ __all__ = [
     "PartitionPlan",
     "TenantResult",
     "run_partitioned",
-    "assign_ctas",
     "UvmManager",
 ]

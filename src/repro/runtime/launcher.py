@@ -25,7 +25,7 @@ from typing import Callable
 
 from repro.errors import SnapshotError
 from repro.gpu.socket import GpuSocket
-from repro.locality.cta import resolve_cta_policy
+from repro.locality.cta import CtaAssignmentPolicy
 from repro.obs.hooks import NOOP, register
 from repro.runtime.kernel import KernelWork
 from repro.sim.engine import Engine
@@ -57,7 +57,7 @@ class Launcher:
         engine: Engine,
         sockets: list[GpuSocket],
         kernels: list[KernelWork],
-        cta_policy,
+        cta_policy: CtaAssignmentPolicy,
         launch_latency: int,
         on_kernel_launch: Callable[[int], None] | None = None,
         on_workload_done: Callable[[], None] | None = None,
@@ -66,10 +66,7 @@ class Launcher:
         self.engine = engine
         self.sockets = sockets
         self.kernels = kernels
-        #: a :class:`repro.locality.cta.CtaAssignmentPolicy`; historical
-        #: :class:`repro.config.CtaPolicy` enums (and kind names) are
-        #: normalized through the registry for compatibility.
-        self.cta_policy = resolve_cta_policy(cta_policy)
+        self.cta_policy = cta_policy
         self.launch_latency = launch_latency
         self.on_kernel_launch = on_kernel_launch
         self.on_workload_done = on_workload_done

@@ -36,7 +36,7 @@ class UvmManager:
         mirroring CUDA's behaviour of not re-migrating resident pages here.
         Returns the number of pages newly pinned.
         """
-        placement = self.page_table.placement
+        placement = self.page_table.policy
         if not placement.claims_pages:
             # Arithmetic policies compute homes; there is nothing to pin.
             return 0
@@ -47,8 +47,8 @@ class UvmManager:
         last = (start + max(nbytes, 1) - 1) // page_size
         pinned = 0
         for page in range(first, last + 1):
-            if page not in placement._page_home:
-                placement._page_home[page] = socket
+            if page not in placement.page_home:
+                placement.page_home[page] = socket
                 # Re-homing a page must drop any cached line translations
                 # (a no-op for never-touched pages, but it keeps the
                 # invariant that pinning and caching can never disagree).

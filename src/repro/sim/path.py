@@ -452,7 +452,7 @@ class ReadPath:
         self.w_more = None
         if home < 0:
             # The line's charge never settled (dynamic policy or an
-            # unclaimed FIRST_TOUCH page): drop the record so the next
+            # unclaimed first_touch page): drop the record so the next
             # access translates again — the old MSHR-pop semantics.
             del self.lines[line]
         refills = self.refills

@@ -96,14 +96,18 @@ class SimSnapshot:
                 "pause boundary before capture"
             )
         fabric = system.fabric
+        placement = system.page_table.policy
         payload = {
             "version": SNAPSHOT_VERSION,
             "config_digest": config_digest(system.config),
             "engine": system.engine.snapshot_state(),
             "launcher": launcher.snapshot_state(),
             "page_table": system.page_table.snapshot_state(),
-            "placement": system.page_table.placement.snapshot_state(),
-            "placement_kind": system.page_table.placement.kind,
+            "placement": {
+                "stats": placement.stats.snapshot_state(),
+                "policy": placement.snapshot_state(),
+            },
+            "placement_kind": placement.kind,
             "fabric": None if fabric is None else fabric.snapshot_state(),
             "sockets": [
                 socket.snapshot_state() for socket in system.sockets
@@ -155,15 +159,15 @@ class SimSnapshot:
             )
         system.engine.restore_state(payload["engine"])
         system.page_table.restore_state(payload["page_table"])
-        placement = system.page_table.placement
+        placement = system.page_table.policy
+        placement.stats.restore_state(payload["placement"]["stats"])
         if not fork or placement.kind == payload["placement_kind"]:
-            placement.restore_state(payload["placement"])
+            placement.restore_state(payload["placement"]["policy"])
         else:
             # Cross-kind branch: the page->home table and the shared
             # placement stats are policy-independent facts about the
             # warmup prefix; policy-private counters are not.
-            placement.stats.restore_state(payload["placement"]["stats"])
-            placement.policy_obj.restore_state(
+            placement.restore_state(
                 {"page_home": payload["placement"]["policy"]["page_home"]}
             )
         fabric_state = payload["fabric"]

@@ -187,15 +187,6 @@ def test_run_command_with_locality_policies(capsys):
     assert "re_homed_pages" in out
 
 
-def test_run_command_round_robin_alias(capsys):
-    code = main([
-        "run", "Lonestar-SP", "--sockets", "2", "--scale", "tiny",
-        "--cta-policy", "round_robin",
-    ])
-    assert code == 0
-    assert "/round_robin/" in capsys.readouterr().out
-
-
 def test_topology_describe_distances(capsys):
     assert main([
         "topology", "describe", "ring", "--sockets", "4", "--distances",
@@ -207,7 +198,12 @@ def test_topology_describe_distances(capsys):
 
 
 def test_parser_rejects_unknown_locality_kinds():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "HPC-AMG", "--placement", "magic"])
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["run", "HPC-AMG", "--cta-policy", "magic"])
+    for flag, kind in (
+        ("--placement", "magic"),
+        ("--cta-policy", "magic"),
+        # Each CTA policy has one name; the removed alias is unknown.
+        ("--cta-policy", "round_robin"),
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["run", "HPC-AMG", flag, kind])
+        assert exit_info.value.code == 2

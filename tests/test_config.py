@@ -8,7 +8,6 @@ from repro.config import (
     ControllerConfig,
     GpuConfig,
     LinkConfig,
-    PlacementPolicy,
     SystemConfig,
     hypothetical_config,
     paper_config,
@@ -118,7 +117,8 @@ def test_scaled_l2_has_whole_sets():
 def test_single_gpu_config():
     cfg = single_gpu_config(scaled_config())
     assert cfg.n_sockets == 1
-    assert cfg.placement is PlacementPolicy.LOCAL_ONLY
+    assert cfg.placement_spec.kind == "local_only"
+    assert cfg.cta_spec.kind == "contiguous"
 
 
 def test_hypothetical_scales_resources():
@@ -272,3 +272,19 @@ def test_digest_covers_previously_omitted_fields():
     digests = {config_digest(v) for v in variants}
     digests.add(config_digest(base))
     assert len(digests) == len(variants) + 1
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("placement_spec", "first_touch", "PlacementSpec"),
+        ("placement_spec", None, "PlacementSpec"),
+        ("cta_spec", "contiguous", "CtaSpec"),
+        ("cta_spec", None, "CtaSpec"),
+    ],
+)
+def test_malformed_policy_values_raise_config_error(field, value, expected):
+    from dataclasses import replace
+
+    with pytest.raises(ConfigError, match=f"{field} must be a .*{expected}"):
+        replace(scaled_config(), **{field: value})

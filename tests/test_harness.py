@@ -58,6 +58,24 @@ def test_context_distinguishes_configs(ctx):
     assert ctx.cached_runs == 2
 
 
+@pytest.mark.parametrize("kind", ["ring", "mesh2d"])
+def test_default_locality_policy_shares_the_topology_identity(ctx, kind):
+    """Regression: spelling out the default first_touch/contiguous
+    policies gave the same system a second config digest, so the memo
+    and the disk cache simulated and stored it twice."""
+    from repro.config import config_digest
+
+    plain = ctx.config_topology(kind, n_sockets=8)
+    spelled = ctx.config_locality_policy(
+        "first_touch", "contiguous", kind=kind, n_sockets=8
+    )
+    assert config_digest(plain) == config_digest(spelled)
+    a = ctx.run("Rodinia-BFS", plain)
+    b = ctx.run("Rodinia-BFS", spelled)
+    assert a is b
+    assert ctx.cached_runs == 1
+
+
 def test_memo_key_distinguishes_noc_bandwidth(ctx):
     """Regression: noc_bandwidth was omitted from the hand-picked key,
     so a config differing only in NoC bandwidth aliased to the cached

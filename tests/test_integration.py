@@ -10,14 +10,13 @@ from dataclasses import replace
 
 from repro.config import (
     CacheArch,
-    CtaPolicy,
     LinkPolicy,
-    PlacementPolicy,
     hypothetical_config,
     scaled_config,
     single_gpu_config,
 )
 from repro.core.builder import build_system, run_workload_on
+from repro.locality import CtaSpec, PlacementSpec
 from repro.workloads.spec import TINY
 from repro.workloads.synthetic import make_workload
 
@@ -52,8 +51,8 @@ def test_locality_runtime_beats_traditional_on_private_workload():
     locality = cycles(base_config(), wl)
     traditional = cycles(
         base_config(
-            cta_policy=CtaPolicy.INTERLEAVED,
-            placement=PlacementPolicy.FINE_INTERLEAVE,
+            cta_spec=CtaSpec(kind="interleaved"),
+            placement_spec=PlacementSpec(kind="fine_interleave"),
         ),
         wl,
     )
@@ -68,7 +67,7 @@ def test_first_touch_keeps_private_data_local():
 
 def test_fine_interleave_makes_three_quarters_remote():
     wl = micro("stream")
-    cfg = base_config(placement=PlacementPolicy.FINE_INTERLEAVE)
+    cfg = base_config(placement_spec=PlacementSpec(kind="fine_interleave"))
     result = run_workload_on(cfg, wl, TINY)
     assert result.total_remote_fraction == pytest.approx(0.75, abs=0.05)
 
@@ -84,7 +83,9 @@ def test_migrations_only_under_first_touch():
     with_ft = run_workload_on(base_config(), wl, TINY)
     assert with_ft.migrations > 0
     interleaved = run_workload_on(
-        base_config(placement=PlacementPolicy.PAGE_INTERLEAVE), wl, TINY
+        base_config(placement_spec=PlacementSpec(kind="page_interleave")),
+        wl,
+        TINY,
     )
     assert interleaved.migrations == 0
 

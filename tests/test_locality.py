@@ -1,7 +1,7 @@
 """Unit + integration tests for the locality subsystem.
 
 Covers the DistanceModel contract, the placement- and CTA-policy
-registries (legacy parity and the new distance-aware policies), the
+registries (the paper's policies and the distance-aware ones), the
 first-touch-stats vs per-edge-packet agreement on multi-hop fabrics, and
 the declarative spec plumbing through SystemConfig.
 """
@@ -10,12 +10,7 @@ import pytest
 
 from dataclasses import replace
 
-from repro.config import (
-    CtaPolicy,
-    PlacementPolicy,
-    config_fingerprint,
-    scaled_config,
-)
+from repro.config import config_fingerprint, scaled_config
 from repro.core.builder import build_system, run_workload_on
 from repro.errors import ConfigError
 from repro.locality import (
@@ -27,17 +22,10 @@ from repro.locality import (
     DistanceModel,
     PlacementSpec,
 )
-from repro.locality.cta import (
-    ContiguousCta,
-    DistanceAffineCta,
-    RoundRobinCta,
-    resolve_cta_policy,
-)
+from repro.locality.cta import ContiguousCta, DistanceAffineCta
 from repro.memory.page_table import PageTable
-from repro.memory.placement import Placement
 from repro.metrics.export import result_from_json_dict, result_to_json_dict
 from repro.runtime.kernel import KernelWork
-from repro.runtime.scheduler import assign_ctas
 from repro.gpu.cta import MemOp, Slice
 from repro.gpu.socket import _LineRec
 from repro.topology.spec import build_topology, mesh2d, switch_tree
@@ -128,11 +116,10 @@ def test_single_socket_system_has_identity_model():
 def test_registries_cover_declared_kinds():
     assert set(PAGE_POLICIES) == set(PLACEMENT_KINDS)
     assert set(CTA_POLICIES) == set(CTA_KINDS)
-    # Every historical enum value resolves in its registry.
-    for policy in PlacementPolicy:
-        assert policy.value in PAGE_POLICIES
-    for policy in CtaPolicy:
-        assert policy.value in CTA_POLICIES
+    # Each registry is keyed by its policies' own kind names.
+    for registry in (PAGE_POLICIES, CTA_POLICIES):
+        for kind, cls in registry.items():
+            assert cls.kind == kind
 
 
 def test_specs_reject_unknown_kinds():
@@ -145,32 +132,41 @@ def test_specs_reject_unknown_kinds():
 
 
 def test_spec_overrides_enum_in_config():
+    # The specs are the config's only policy fields; the default config
+    # carries the paper's locality-optimized pair.
     config = locality_config(placement="distance_weighted_first_touch",
                              cta="distance_affine")
-    assert config.placement_kind == "distance_weighted_first_touch"
-    assert config.cta_kind == "distance_affine"
+    assert config.placement_spec.kind == "distance_weighted_first_touch"
+    assert config.cta_spec.kind == "distance_affine"
     default = scaled_config()
-    assert default.placement_kind == default.placement.value
-    assert default.cta_kind == default.cta_policy.value
+    assert default.placement_spec == PlacementSpec(kind="first_touch")
+    assert default.cta_spec == CtaSpec(kind="contiguous")
+    for gone in ("placement", "cta_policy", "placement_kind", "cta_kind"):
+        assert not hasattr(default, gone)
 
 
 def test_specs_change_config_fingerprint():
     base = scaled_config()
+    # Spelling out the default spec names the same system.
     spec = replace(base, placement_spec=PlacementSpec(kind="first_touch"))
-    assert config_fingerprint(base) != config_fingerprint(spec)
+    assert config_fingerprint(base) == config_fingerprint(spec)
     tuned = replace(
         base,
         placement_spec=PlacementSpec(kind="first_touch", touch_window=64),
     )
     assert config_fingerprint(spec) != config_fingerprint(tuned)
+    other = replace(base, cta_spec=CtaSpec(kind="interleaved"))
+    assert config_fingerprint(base) != config_fingerprint(other)
 
 
 def test_single_gpu_config_drops_locality_specs():
     from repro.config import single_gpu_config
 
-    config = locality_config(placement="access_counter_migration")
+    config = locality_config(placement="access_counter_migration",
+                             cta="distance_affine")
     single = single_gpu_config(config)
-    assert single.placement_spec is None and single.cta_spec is None
+    assert single.placement_spec == PlacementSpec(kind="local_only")
+    assert single.cta_spec == CtaSpec()
 
 
 # ---------------------------------------------------------------------------
@@ -178,25 +174,28 @@ def test_single_gpu_config_drops_locality_specs():
 # ---------------------------------------------------------------------------
 
 def test_legacy_placement_facade_unchanged():
-    cfg = replace(scaled_config(n_sockets=4),
-                  placement=PlacementPolicy.FIRST_TOUCH)
-    placement = Placement(cfg)
-    assert placement.kind == "first_touch"
-    assert placement.policy is PlacementPolicy.FIRST_TOUCH
-    assert placement.home_socket(0, accessor=2) == 2
-    assert placement.home_socket(64, accessor=0) == 2
-    assert placement.migrations == 1
-    assert placement.cacheable and placement.claims_pages
-    assert not placement.dynamic
+    # The page table holds the policy the spec selects and keeps the
+    # first-touch behaviour the removed facade had.
+    table = PageTable(scaled_config(n_sockets=4))
+    policy = table.policy
+    assert policy.kind == "first_touch"
+    assert table.translate(0, accessor=2)[0] == 2
+    assert table.translate(64, accessor=0)[0] == 2
+    assert table.migrations == 1
+    assert policy.page_home == {0: 2}
+    assert table.cacheable and policy.cacheable and policy.claims_pages
+    assert not policy.dynamic
 
 
 def test_new_kind_has_no_enum_view():
-    placement = Placement(
+    # A distance-aware kind is selected exactly like the paper's kinds.
+    table = PageTable(
         locality_config(placement="distance_weighted_first_touch")
     )
-    assert placement.policy is None
-    assert placement.kind == "distance_weighted_first_touch"
-    assert placement.dynamic and not placement.cacheable
+    policy = table.policy
+    assert type(policy) is PAGE_POLICIES["distance_weighted_first_touch"]
+    assert policy.kind == "distance_weighted_first_touch"
+    assert policy.dynamic and not policy.cacheable and not table.cacheable
 
 
 def test_dwft_claims_like_first_touch():
@@ -219,8 +218,8 @@ def test_dwft_re_homes_to_majority_toucher():
     table.translate(0, accessor=0)  # socket 0 claims the page
     for _ in range(200):
         table.translate(0, accessor=2)
-    placement = table.placement
-    assert placement._page_home[0] == 2
+    placement = table.policy
+    assert placement.page_home[0] == 2
     assert placement.re_homes == 1
     assert table.re_homed_pages == 1
     # Subsequent touches see the new home with no further charge.
@@ -238,7 +237,7 @@ def test_dwft_amortization_guard_blocks_marginal_moves():
     # A handful of remote touches is not worth a page copy.
     for _ in range(6):
         table.translate(0, accessor=2)
-    assert table.placement._page_home[0] == 0
+    assert table.policy.page_home[0] == 0
     assert table.re_homed_pages == 0
 
 
@@ -256,7 +255,7 @@ def test_dwft_respects_migration_cap():
     for _ in range(400):
         table.translate(0, accessor=3)
     assert table.re_homed_pages == 1  # capped after the first move
-    assert table.placement._page_home[0] == 2
+    assert table.policy.page_home[0] == 2
 
 
 def test_dwft_tolerates_prefetched_pages():
@@ -270,12 +269,12 @@ def test_dwft_tolerates_prefetched_pages():
         )
     )
     uvm = UvmManager(table)
-    assert uvm.prefetch(0, table.placement.page_size, socket=1) == 1
+    assert uvm.prefetch(0, table.policy.page_size, socket=1) == 1
     home, extra = table.translate(0, accessor=3)
     assert home == 1 and extra == 0  # pinned, no first-touch charge
     for _ in range(200):
         table.translate(0, accessor=3)
-    assert table.placement._page_home[0] == 3  # majority re-home works
+    assert table.policy.page_home[0] == 3  # majority re-home works
 
 
 def test_access_counter_migration_threshold():
@@ -425,29 +424,12 @@ def test_dynamic_policy_disables_translation_cache_fill():
 # ---------------------------------------------------------------------------
 
 def test_contiguous_and_round_robin_match_legacy_assign():
-    assert assign_ctas(10, 4, CtaPolicy.CONTIGUOUS) == [
+    assert CTA_POLICIES["contiguous"]().assign(10, range(4)) == [
         [0, 1, 2], [3, 4, 5], [6, 7], [8, 9]
     ]
-    assert assign_ctas(10, 4, CtaPolicy.INTERLEAVED) == [
+    assert CTA_POLICIES["interleaved"]().assign(10, range(4)) == [
         [0, 4, 8], [1, 5, 9], [2, 6], [3, 7]
     ]
-    # Registry names resolve too (round_robin is the canonical alias).
-    assert assign_ctas(10, 4, "round_robin") == assign_ctas(
-        10, 4, CtaPolicy.INTERLEAVED
-    )
-
-
-def test_resolve_cta_policy_accepts_enum_string_and_object():
-    assert isinstance(resolve_cta_policy(CtaPolicy.CONTIGUOUS), ContiguousCta)
-    assert isinstance(resolve_cta_policy("interleaved"), RoundRobinCta)
-    policy = DistanceAffineCta()
-    assert resolve_cta_policy(policy) is policy
-    with pytest.raises(ConfigError):
-        resolve_cta_policy("telepathy")
-    # An unwired affine policy would silently degrade to contiguous, so
-    # the name path refuses it (the system builder wires it properly).
-    with pytest.raises(ConfigError):
-        resolve_cta_policy("distance_affine")
 
 
 def test_read_csv_tolerates_pre_locality_columns(tmp_path):
@@ -494,7 +476,7 @@ def test_distance_affine_co_locates_ctas_with_their_pages():
     table = PageTable(config)
     page_size = config.page_size
     # Pages 0,1 at socket 2; pages 2,3 at socket 0.
-    table.placement._page_home.update({0: 2, 1: 2, 2: 0, 3: 0})
+    table.policy.page_home.update({0: 2, 1: 2, 2: 0, 3: 0})
     policy = DistanceAffineCta(
         table, DistanceModel.from_spec(config.topology)
     )
@@ -528,11 +510,19 @@ def test_launcher_accepts_policy_objects_and_enums():
     from repro.runtime.launcher import Launcher
     from repro.sim.engine import Engine
 
+    policy = ContiguousCta()
     launcher = Launcher(
         engine=Engine(), sockets=[], kernels=[],
-        cta_policy=CtaPolicy.CONTIGUOUS, launch_latency=1,
+        cta_policy=policy, launch_latency=1,
     )
-    assert isinstance(launcher.cta_policy, ContiguousCta)
+    assert launcher.cta_policy is policy
+    # The system builder wires the affine policy to the live page table
+    # and the fabric's distance model.
+    system = build_system(locality_config(cta="distance_affine",
+                                          kind="ring"))
+    assert isinstance(system.cta_policy, DistanceAffineCta)
+    assert system.cta_policy._page_table is system.page_table
+    assert system.cta_policy._distance is system.distance_model
 
 
 # ---------------------------------------------------------------------------
@@ -546,13 +536,17 @@ def test_first_touch_stats_agree_with_edge_stats(kind):
     system = build_system(config)
     kernels = get_workload("Rodinia-BFS").build_kernels(SCALES["tiny"])
     result = system.run(kernels, workload_name="bfs")
-    placement = system.page_table.placement
+    placement = system.page_table.policy
 
     # Migration accounting: every claimed page is one counted migration,
-    # and the per-socket pages_on split tiles the claims exactly.
-    assert result.migrations == placement.migrations
-    assert result.migrations == len(placement._page_home)
-    assert sum(placement.pages_on(s) for s in range(4)) == result.migrations
+    # and the per-socket split tiles the claims exactly.
+    assert result.migrations == system.page_table.migrations
+    assert result.migrations == len(placement.page_home)
+    pages_on = [
+        sum(1 for home in placement.page_home.values() if home == s)
+        for s in range(4)
+    ]
+    assert sum(pages_on) == result.migrations
 
     # Local/remote split: the socket counters the run reports are the
     # same totals the placement handed out.
@@ -733,7 +727,7 @@ def test_distance_affine_prefers_bandwidth_over_raw_hops():
     )
     config = locality_config(n_sockets=2)
     table = PageTable(config)
-    table.placement._page_home.update({0: 0, 1: 0})
+    table.policy.page_home.update({0: 0, 1: 0})
     policy = DistanceAffineCta(table, model)
     kernel = _kernel_touching(
         {cta: [0, 1] for cta in range(3)}, config.page_size
@@ -774,10 +768,8 @@ def test_placement_registry_catalogue_is_exactly_the_known_kinds():
 
 def test_cta_registry_catalogue_is_exactly_the_known_kinds():
     assert set(CTA_POLICIES) == {
-        "contiguous", "round_robin", "interleaved", "distance_affine",
+        "contiguous", "interleaved", "distance_affine",
     }
-    # "interleaved" is the historical alias of round_robin.
-    assert CTA_POLICIES["interleaved"] is CTA_POLICIES["round_robin"]
 
 
 @pytest.mark.parametrize("kind", sorted(PAGE_POLICIES))

@@ -14,11 +14,11 @@ import pytest
 from repro.config import (
     CacheArch,
     CacheConfig,
-    PlacementPolicy,
     WritePolicy,
     scaled_config,
 )
 from repro.gpu.socket import GpuSocket
+from repro.locality import PlacementSpec
 from repro.memory.cache import NumaClass, SetAssocCache
 from repro.memory.page_table import PageTable
 from repro.sim.engine import Engine
@@ -31,7 +31,7 @@ def build_pair(cache_arch=CacheArch.MEM_SIDE, write_policy=WritePolicy.WRITE_BAC
         scaled_config(n_sockets=2, sms_per_socket=2),
         cache_arch=cache_arch,
         l2_write_policy=write_policy,
-        placement=PlacementPolicy.FIRST_TOUCH,
+        placement_spec=PlacementSpec(kind="first_touch"),
         migration_latency=0,
     )
     engine = Engine()

@@ -5,11 +5,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import CacheConfig, CtaPolicy, LINE_SIZE, LinkConfig, scaled_config
+from repro.config import CacheConfig, LINE_SIZE, LinkConfig, scaled_config
 from repro.interconnect.link import Direction, DuplexLink
+from repro.locality import CTA_POLICIES, PlacementSpec
 from repro.memory.cache import NumaClass, SetAssocCache
-from repro.memory.placement import Placement
-from repro.runtime.scheduler import assign_ctas
+from repro.memory.page_table import PageTable
 from repro.sim.engine import Engine
 from repro.sim.resource import BandwidthResource, UtilizationWindow
 from repro.workloads.patterns import (
@@ -136,10 +136,10 @@ def test_lane_conservation_under_random_turns(data):
 @given(
     st.integers(min_value=1, max_value=500),
     st.integers(min_value=1, max_value=8),
-    st.sampled_from(list(CtaPolicy)),
+    st.sampled_from(["contiguous", "interleaved"]),
 )
-def test_cta_assignment_is_a_partition(n_ctas, n_sockets, policy):
-    blocks = assign_ctas(n_ctas, n_sockets, policy)
+def test_cta_assignment_is_a_partition(n_ctas, n_sockets, kind):
+    blocks = CTA_POLICIES[kind]().assign(n_ctas, range(n_sockets))
     flat = sorted(i for block in blocks for i in block)
     assert flat == list(range(n_ctas))
     sizes = [len(b) for b in blocks]
@@ -150,16 +150,14 @@ def test_cta_assignment_is_a_partition(n_ctas, n_sockets, policy):
 @given(st.integers(0, 2**40), st.integers(0, 3))
 def test_placement_is_deterministic_and_in_range(addr, accessor):
     cfg = scaled_config(n_sockets=4)
-    for policy_name in ("FINE_INTERLEAVE", "PAGE_INTERLEAVE"):
+    for kind in ("fine_interleave", "page_interleave"):
         from dataclasses import replace
 
-        from repro.config import PlacementPolicy
-
-        placement = Placement(
-            replace(cfg, placement=PlacementPolicy[policy_name])
+        table = PageTable(
+            replace(cfg, placement_spec=PlacementSpec(kind=kind))
         )
-        home1 = placement.home_socket(addr, accessor)
-        home2 = placement.home_socket(addr, accessor)
+        home1, _ = table.translate(addr, accessor)
+        home2, _ = table.translate(addr, accessor)
         assert home1 == home2
         assert 0 <= home1 < 4
 

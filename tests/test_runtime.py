@@ -4,14 +4,22 @@ import pytest
 
 from dataclasses import replace
 
-from repro.config import CtaPolicy, PlacementPolicy, scaled_config
+from repro.config import scaled_config
 from repro.core.builder import build_system
 from repro.errors import RuntimeLaunchError
 from repro.gpu.cta import MemOp, Slice
+from repro.locality import PlacementSpec
+from repro.locality.cta import CTA_POLICIES
 from repro.runtime.kernel import KernelWork
 from repro.runtime.launcher import Launcher
-from repro.runtime.scheduler import assign_ctas
 from repro.runtime.uvm import UvmManager
+
+#: the two static Section 3 CTA policies.
+STATIC_CTA_KINDS = ("contiguous", "interleaved")
+
+
+def assign(kind, n_ctas, n_sockets):
+    return CTA_POLICIES[kind]().assign(n_ctas, range(n_sockets))
 
 
 # ---------------------------------------------------------------------------
@@ -19,53 +27,56 @@ from repro.runtime.uvm import UvmManager
 # ---------------------------------------------------------------------------
 
 def test_contiguous_blocks():
-    blocks = assign_ctas(8, 4, CtaPolicy.CONTIGUOUS)
+    blocks = assign("contiguous", 8, 4)
     assert blocks == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
 
 def test_interleaved_modulo():
-    blocks = assign_ctas(8, 4, CtaPolicy.INTERLEAVED)
+    blocks = assign("interleaved", 8, 4)
     assert blocks == [[0, 4], [1, 5], [2, 6], [3, 7]]
 
 
 def test_uneven_counts_balanced_within_one():
-    for policy in CtaPolicy:
-        blocks = assign_ctas(10, 4, policy)
+    for kind in STATIC_CTA_KINDS:
+        blocks = assign(kind, 10, 4)
         sizes = [len(b) for b in blocks]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == 10
 
 
 def test_every_cta_assigned_exactly_once():
-    for policy in CtaPolicy:
-        blocks = assign_ctas(37, 3, policy)
+    for kind in STATIC_CTA_KINDS:
+        blocks = assign(kind, 37, 3)
         flat = sorted(i for block in blocks for i in block)
         assert flat == list(range(37))
 
 
 def test_single_socket_gets_everything():
-    assert assign_ctas(5, 1, CtaPolicy.CONTIGUOUS) == [[0, 1, 2, 3, 4]]
+    for kind in STATIC_CTA_KINDS:
+        assert assign(kind, 5, 1) == [[0, 1, 2, 3, 4]]
 
 
 def test_fewer_ctas_than_sockets():
-    blocks = assign_ctas(2, 4, CtaPolicy.CONTIGUOUS)
+    blocks = assign("contiguous", 2, 4)
     assert [len(b) for b in blocks] == [1, 1, 0, 0]
 
 
 def test_contiguous_blocks_are_contiguous():
-    blocks = assign_ctas(100, 4, CtaPolicy.CONTIGUOUS)
+    blocks = assign("contiguous", 100, 4)
     for block in blocks:
         assert block == list(range(block[0], block[0] + len(block)))
 
 
 def test_zero_ctas_rejected():
-    with pytest.raises(RuntimeLaunchError):
-        assign_ctas(0, 4, CtaPolicy.CONTIGUOUS)
+    for kind in STATIC_CTA_KINDS:
+        with pytest.raises(RuntimeLaunchError):
+            assign(kind, 0, 4)
 
 
 def test_zero_sockets_rejected():
-    with pytest.raises(RuntimeLaunchError):
-        assign_ctas(4, 0, CtaPolicy.CONTIGUOUS)
+    for kind in STATIC_CTA_KINDS:
+        with pytest.raises(RuntimeLaunchError):
+            assign(kind, 4, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +181,7 @@ def test_prefetch_respects_existing_claims():
 def test_prefetch_noop_for_interleave():
     cfg = replace(
         scaled_config(n_sockets=4, sms_per_socket=2),
-        placement=PlacementPolicy.PAGE_INTERLEAVE,
+        placement_spec=PlacementSpec(kind="page_interleave"),
     )
     system = build_system(cfg)
     assert system.uvm.prefetch(0, 4096 * 10, socket=1) == 0

@@ -6,12 +6,12 @@ from dataclasses import replace
 
 from repro.config import (
     CacheArch,
-    PlacementPolicy,
     SystemConfig,
     WritePolicy,
     scaled_config,
 )
 from repro.gpu.socket import GpuSocket
+from repro.locality import PlacementSpec
 from repro.memory.cache import NumaClass
 from repro.memory.page_table import PageTable
 from repro.sim.engine import Engine
@@ -19,13 +19,13 @@ from repro.topology.fabric import build_fabric
 
 
 def build_pair(cache_arch=CacheArch.MEM_SIDE, write_policy=WritePolicy.WRITE_BACK,
-               placement=PlacementPolicy.FIRST_TOUCH, coherence=True):
+               placement="first_touch", coherence=True):
     """Two sockets joined by a switch, plus the engine."""
     config = replace(
         scaled_config(n_sockets=2, sms_per_socket=2),
         cache_arch=cache_arch,
         l2_write_policy=write_policy,
-        placement=placement,
+        placement_spec=PlacementSpec(kind=placement),
         coherence_invalidations=coherence,
         migration_latency=0,
     )

@@ -9,18 +9,19 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import PlacementPolicy, scaled_config
+from repro.config import scaled_config
 from repro.gpu.socket import make_socket
+from repro.locality import PlacementSpec
 from repro.memory.page_table import PageTable
 from repro.runtime.uvm import UvmManager
 from repro.sim.engine import Engine
 from repro.topology.fabric import build_fabric
 
 
-def build_sockets(placement=PlacementPolicy.FIRST_TOUCH, n_sockets=2):
+def build_sockets(placement="first_touch", n_sockets=2):
     config = replace(
         scaled_config(n_sockets=n_sockets, sms_per_socket=2),
-        placement=placement,
+        placement_spec=PlacementSpec(kind=placement),
     )
     engine = Engine()
     table = PageTable(config)
@@ -80,7 +81,7 @@ def test_retranslation_after_invalidation_sees_new_home():
     engine.run()
     assert s0._lines[0].home == 0
     page = 0
-    table.placement._page_home[page] = 1  # the migration itself
+    table.policy.page_home[page] = 1  # the migration itself
     table.invalidate_page(page)
     s0.access(0, 0, False, lambda: None)
     engine.run()
@@ -102,7 +103,7 @@ def test_uvm_prefetch_invalidates_newly_pinned_pages():
 
 
 def test_first_touch_single_socket_is_never_cached():
-    # Degenerate combination: FIRST_TOUCH placement on one socket never
+    # Degenerate combination: first_touch placement on one socket never
     # claims pages, so every access pays the first-touch charge — the
     # translation cache must not memoize it away.
     config, engine, table, sockets = build_sockets(n_sockets=1)
@@ -119,7 +120,7 @@ def test_first_touch_single_socket_is_never_cached():
 
 def test_local_only_single_socket_skips_translation_wholesale():
     config, engine, table, sockets = build_sockets(
-        placement=PlacementPolicy.LOCAL_ONLY, n_sockets=1
+        placement="local_only", n_sockets=1
     )
     s0 = sockets[0]
     assert s0._always_local
