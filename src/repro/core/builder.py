@@ -13,7 +13,11 @@ memoizes the most recent workload's materialized CTA slices (a
 single-entry cache: one workload+scale resident at a time, so memory
 stays bounded at one trace set). Slices and their ops are frozen
 dataclasses and every consumer treats the slice lists as read-only, so
-sharing them across runs cannot change results.
+sharing them across runs cannot change results. Within one trace, ops
+are shared too: equal ``(addr, is_write)`` ops are one object from the
+trace's op table (:func:`repro.workloads.spec.op_table`), so no consumer
+may mutate an op or compare ops by identity. Per-kernel values are
+computed once per kernel, not once per CTA.
 
 A single entry only hits when runs of one workload are consecutive.
 Sweep drivers request cells config-major, so the supervised harness
@@ -22,7 +26,9 @@ executing process builds a workload's trace once per sweep. Since the
 memo then hits, a run allocates too little to trigger the full
 collections that used to free dead systems (cyclic garbage), so the
 harness releases each run's heap itself
-(:func:`repro.harness.parallel._execute_measured`).
+(:func:`repro.harness.parallel._execute_measured`), and
+:func:`repro.workloads.trace.record_trace` does so for trace-driven
+callers at each recording.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.config import LINE_SIZE
 from repro.errors import WorkloadError
@@ -85,14 +86,27 @@ class PatternGeometry:
     halo_fraction: float = 0.15
     shared_fraction: float = 0.5
 
+    def chunk_span(self, cta: int) -> tuple[int, int]:
+        """Start address and line count of CTA ``cta``'s private chunk.
+
+        The one place the contiguous CTA-major layout is computed:
+        :meth:`cta_chunk` wraps it in a :class:`Region`, and the
+        generators use it directly so no ``Region`` is built per slice.
+        """
+        start, n_ctas, lines_per_cta = self._chunk_layout
+        return start + (cta % n_ctas) * lines_per_cta * LINE_SIZE, lines_per_cta
+
+    @cached_property
+    def _chunk_layout(self) -> tuple[int, int, int]:
+        """Private region start, CTA count and lines per CTA chunk."""
+        n_ctas = max(1, self.n_ctas)
+        lines_per_cta = max(1, self.private_region.n_lines // n_ctas)
+        return self.private_region.start, n_ctas, lines_per_cta
+
     def cta_chunk(self, cta: int) -> Region:
         """CTA ``cta``'s private chunk (contiguous CTA-major layout)."""
-        lines_per_cta = max(1, self.private_region.n_lines // max(1, self.n_ctas))
-        start_line = (cta % max(1, self.n_ctas)) * lines_per_cta
-        return Region(
-            self.private_region.start + start_line * LINE_SIZE,
-            lines_per_cta * LINE_SIZE,
-        )
+        start, n_lines = self.chunk_span(cta)
+        return Region(start, n_lines * LINE_SIZE)
 
 
 def generate_addresses(
@@ -114,63 +128,49 @@ def generate_addresses(
     """
     if n_ops <= 0:
         return []
-    chunk = geometry.cta_chunk(cta)
-    # Region.start / Region.n_lines are hoisted to locals: the generators
-    # run once per (CTA, slice) over every op, and n_lines is a computed
-    # property. The arithmetic (and the rng call sequence) is unchanged,
-    # so generated streams are identical to the per-call form.
-    chunk_start = chunk.start
-    chunk_lines = chunk.n_lines
+    # The generators run once per (CTA, slice): region starts and line
+    # counts are read into locals, and the chunk is computed, not built
+    # as a Region.
+    chunk_start, chunk_lines = geometry.chunk_span(cta)
+    stream_first = phase_offset + slice_index * n_ops
     if kind is PatternKind.PRIVATE_STREAM:
-        base = phase_offset + slice_index * n_ops
-        return [
-            chunk_start + ((base + i) % chunk_lines) * LINE_SIZE
-            for i in range(n_ops)
-        ]
+        return _line_run(chunk_start, chunk_lines, stream_first, n_ops)
     if kind is PatternKind.PRIVATE_REUSE:
         # Loop over a working set sized to the slice burst: high reuse.
         working_lines = max(2, min(chunk_lines, n_ops))
-        return [
-            chunk_start + ((phase_offset + i % working_lines) % chunk_lines) * LINE_SIZE
-            for i in range(n_ops)
-        ]
+        working = _line_run(chunk_start, chunk_lines, phase_offset, working_lines)
+        rounds, rest = divmod(n_ops, working_lines)
+        return working * rounds + working[:rest]
+    # The two mixed families draw per op, in op order: random() picks the
+    # branch, then randrange() runs only for an op that leaves its chunk.
+    # The conditional expression keeps exactly that call sequence.
     if kind is PatternKind.STENCIL_HALO:
-        addrs = []
-        neighbour = geometry.cta_chunk(cta + 1)
-        n_start = neighbour.start
-        n_lines = neighbour.n_lines
-        base = phase_offset + slice_index * n_ops
+        n_start, n_lines = geometry.chunk_span(cta + 1)
         halo = geometry.halo_fraction
         random_ = rng.random
         randrange = rng.randrange
-        for i in range(n_ops):
-            if random_() < halo:
-                addrs.append(n_start + (randrange(n_lines) % n_lines) * LINE_SIZE)
-            else:
-                addrs.append(chunk_start + ((base + i) % chunk_lines) * LINE_SIZE)
-        return addrs
+        return [
+            n_start + randrange(n_lines) * LINE_SIZE if random_() < halo else addr
+            for addr in _line_run(chunk_start, chunk_lines, stream_first, n_ops)
+        ]
     if kind is PatternKind.SHARED_READ:
         shared = geometry.shared_region
         s_start = shared.start
         s_lines = shared.n_lines
-        base = phase_offset + slice_index * n_ops
         fraction = geometry.shared_fraction
         random_ = rng.random
         randrange = rng.randrange
-        addrs = []
-        for i in range(n_ops):
-            if random_() < fraction:
-                addrs.append(s_start + (randrange(s_lines) % s_lines) * LINE_SIZE)
-            else:
-                addrs.append(chunk_start + ((base + i) % chunk_lines) * LINE_SIZE)
-        return addrs
+        return [
+            s_start + randrange(s_lines) * LINE_SIZE if random_() < fraction else addr
+            for addr in _line_run(chunk_start, chunk_lines, stream_first, n_ops)
+        ]
     if kind is PatternKind.RANDOM_GLOBAL:
         region = geometry.private_region
         r_start = region.start
         r_lines = region.n_lines
         randrange = rng.randrange
         return [
-            r_start + (randrange(r_lines) % r_lines) * LINE_SIZE
+            r_start + randrange(r_lines) * LINE_SIZE
             for _ in range(n_ops)
         ]
     if kind in (PatternKind.REDUCTION, PatternKind.GATHER_READ):
@@ -179,7 +179,21 @@ def generate_addresses(
         o_lines = out.n_lines
         randrange = rng.randrange
         return [
-            o_start + (randrange(o_lines) % o_lines) * LINE_SIZE
+            o_start + randrange(o_lines) * LINE_SIZE
             for _ in range(n_ops)
         ]
     raise WorkloadError(f"unknown pattern kind {kind!r}")  # pragma: no cover
+
+
+def _line_run(start: int, n_lines: int, first: int, count: int) -> list[int]:
+    """Addresses of ``count`` consecutive lines, wrapping within a region.
+
+    Element ``i`` is line ``(first + i) % n_lines`` of the ``n_lines``-line
+    region whose first line is at byte ``start``.
+    """
+    lines = range(start, start + n_lines * LINE_SIZE, LINE_SIZE)
+    first %= n_lines
+    addrs = list(lines[first:first + count])
+    while len(addrs) < count:
+        addrs += lines[:count - len(addrs)]
+    return addrs

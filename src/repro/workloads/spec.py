@@ -28,6 +28,41 @@ from repro.workloads.patterns import (
 )
 
 
+#: MemOp's frozen ``__init__`` sets each field through
+#: ``object.__setattr__``, which is most of the cost of building an op.
+#: Setting the slots through their descriptors skips that and gives an
+#: equal ``MemOp``, so the op table builds its ops this way.
+_new_op = MemOp.__new__
+_set_addr = MemOp.addr.__set__
+_set_write = MemOp.is_write.__set__
+
+
+class OpDict(dict):
+    """``addr -> MemOp(addr, is_write)``, building each op on first use."""
+
+    __slots__ = ("is_write",)
+
+    def __init__(self, is_write: bool) -> None:
+        super().__init__()
+        self.is_write = is_write
+
+    def __missing__(self, addr: int) -> MemOp:
+        op = self[addr] = _new_op(MemOp)
+        _set_addr(op, addr)
+        _set_write(op, self.is_write)
+        return op
+
+
+def op_table() -> tuple[OpDict, OpDict]:
+    """A fresh ``(reads, writes)`` op table for one trace.
+
+    Every op a trace emits comes from its table, so ops with equal
+    ``(addr, is_write)`` are one shared immutable object: a trace holds
+    one ``MemOp`` per distinct line access, not one per op.
+    """
+    return OpDict(False), OpDict(True)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """One kernel in a workload's repeating sequence.
@@ -128,11 +163,15 @@ class WorkloadSpec:
 
         Returns one :class:`KernelWork` per (iteration, kernel spec) pair;
         every CTA's slices are generated lazily and deterministically.
+        All kernels of one call emit their ops from one :func:`op_table`,
+        so equal ops are one shared object (see DESIGN.md,
+        "Config-independent trace reuse").
         """
         geometry = self._geometry(scale)
+        table = op_table()
         works: list[KernelWork] = []
         if self.init_shared:
-            works.append(self._init_kernel(geometry))
+            works.append(self._init_kernel(geometry, writes=table[1]))
         for iteration in range(self.iterations):
             for k_idx, kernel in enumerate(self.kernels):
                 n_ctas = scale.scaled_ctas(self.paper_avg_ctas, kernel.cta_fraction)
@@ -149,13 +188,13 @@ class WorkloadSpec:
                         name=f"{self.name}.{kernel.name}.{iteration}",
                         n_ctas=n_ctas,
                         build_cta=self._cta_builder(
-                            kernel, geo, scale, iteration * 1000 + k_idx
+                            kernel, geo, scale, iteration * 1000 + k_idx, table
                         ),
                     )
                 )
         return works
 
-    def _init_kernel(self, geometry: dict[str, Region]) -> KernelWork:
+    def _init_kernel(self, geometry: dict[str, Region], writes: OpDict) -> KernelWork:
         """A one-CTA kernel touching every output-region page once.
 
         Under contiguous scheduling a single CTA lands on socket 0, so
@@ -170,7 +209,7 @@ class WorkloadSpec:
         while page < region.end:
             addrs.append(max(page, region.start))
             page += PAGE_SIZE
-        ops = tuple(MemOp(addr, True) for addr in addrs)
+        ops = tuple([writes[addr] for addr in addrs])
         slices = [Slice(compute_cycles=50, ops=ops)]
         return KernelWork(
             name=f"{self.name}.init",
@@ -189,33 +228,43 @@ class WorkloadSpec:
         return {"private": private, "shared": shared, "output": output}
 
     def _cta_builder(self, kernel: KernelSpec, geo: PatternGeometry,
-                     scale: WorkloadScale, kernel_tag: int):
-        spec_seed = self.seed
+                     scale: WorkloadScale, kernel_tag: int,
+                     table: tuple[OpDict, OpDict]):
+        # Everything but the per-CTA RNG stream is fixed per kernel, so it
+        # is computed here once rather than in every build() call.
+        seed_base = self.seed * 2_654_435_761 + kernel_tag * 40_503
+        n_ops = max(1, int(kernel.ops_per_slice * scale.ops_scale))
+        # Iterative kernels double-buffer: shift private accesses per
+        # invocation so only hot shared regions persist across flushes.
+        phase_offset = kernel_tag * 61
+        compute = kernel.compute_per_slice
+        patterns = _pattern_schedule(kernel)
+        slots = []
+        for s_idx in range(kernel.slices_per_cta):
+            kind = patterns[s_idx % len(patterns)]
+            write_frac = (
+                kernel.reduction_write_fraction
+                if kind is PatternKind.REDUCTION
+                else kernel.write_fraction
+            )
+            slots.append((s_idx, kind, write_frac))
+        reads, writes = table
 
         def build(cta_index: int) -> list[Slice]:
-            rng = random.Random(
-                spec_seed * 2_654_435_761 + kernel_tag * 40_503 + cta_index
-            )
-            n_ops = max(1, int(kernel.ops_per_slice * scale.ops_scale))
-            # Iterative kernels double-buffer: shift private accesses per
-            # invocation so only hot shared regions persist across flushes.
-            phase_offset = kernel_tag * 61
+            rng = random.Random(seed_base + cta_index)
+            random_ = rng.random
             slices: list[Slice] = []
-            patterns = _pattern_schedule(kernel, rng)
-            for s_idx in range(kernel.slices_per_cta):
-                kind = patterns[s_idx % len(patterns)]
+            for s_idx, kind, write_frac in slots:
+                # The addresses draw from rng first, then one draw per op
+                # for its write bit: the order the trace goldens pin.
                 addrs = generate_addresses(
                     kind, geo, cta_index, n_ops, rng, s_idx, phase_offset
                 )
-                write_frac = (
-                    kernel.reduction_write_fraction
-                    if kind is PatternKind.REDUCTION
-                    else kernel.write_fraction
-                )
-                ops = tuple(
-                    MemOp(addr, rng.random() < write_frac) for addr in addrs
-                )
-                slices.append(Slice(kernel.compute_per_slice, ops))
+                ops = tuple([
+                    writes[addr] if random_() < write_frac else reads[addr]
+                    for addr in addrs
+                ])
+                slices.append(Slice(compute, ops))
             return slices
 
         return build
@@ -233,7 +282,7 @@ class WorkloadSpec:
         }
 
 
-def _pattern_schedule(kernel: KernelSpec, rng: random.Random) -> list[PatternKind]:
+def _pattern_schedule(kernel: KernelSpec) -> list[PatternKind]:
     """Expand the pattern mix into a slice-by-slice schedule.
 
     Patterns are laid out proportionally and deterministically, with

@@ -18,14 +18,15 @@ which the test suite asserts.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import WorkloadError
-from repro.gpu.cta import MemOp, Slice
+from repro.gpu.cta import Slice
 from repro.runtime.kernel import KernelWork
-from repro.workloads.spec import WorkloadScale, WorkloadSpec
+from repro.workloads.spec import WorkloadScale, WorkloadSpec, op_table
 
 #: Trace format version written to every file.
 TRACE_VERSION = 1
@@ -83,13 +84,34 @@ def _replayer(kernel: KernelTrace):
 
 
 def record_trace(workload: WorkloadSpec, scale: WorkloadScale) -> WorkloadTrace:
-    """Materialize every CTA of every kernel of ``workload`` at ``scale``."""
+    """Materialize every CTA of every kernel of ``workload`` at ``scale``.
+
+    Recording is a heap boundary (DESIGN.md, "Heap release"): it first
+    collects the young generations, then builds the trace with the
+    collector paused.
+    """
+    # A trace-driven caller records the next workload once it is done
+    # with the last: the systems that replayed the last trace are cyclic
+    # garbage that still holds it. With recording and drains run paused,
+    # they are still young, so a generation-1 collection frees them
+    # without walking the long-lived heap.
+    gc.collect(1)
+    # Materialization allocates ~10^5 long-lived objects and no cycles, so
+    # generational collections during it are pure overhead, as in the
+    # engine drain (NumaGpuSystem._drain), which pauses the same way.
     kernels = []
-    for work in workload.build_kernels(scale):
-        ctas = tuple(
-            tuple(work.build_cta(i)) for i in range(work.n_ctas)
-        )
-        kernels.append(KernelTrace(name=work.name, ctas=ctas))
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        for work in workload.build_kernels(scale):
+            ctas = tuple(
+                tuple(work.build_cta(i)) for i in range(work.n_ctas)
+            )
+            kernels.append(KernelTrace(name=work.name, ctas=ctas))
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return WorkloadTrace(
         workload=workload.name, scale=scale.name, kernels=tuple(kernels)
     )
@@ -139,6 +161,9 @@ def load_trace(path: str | Path) -> WorkloadTrace:
                 f"trace file {path} has version {version}, "
                 f"expected {TRACE_VERSION}"
             )
+        # One op table for the whole file, as record_trace shares ops: a
+        # loaded trace holds one MemOp per distinct (addr, is_write).
+        reads, writes = op_table()
         kernels = []
         for line in handle:
             record = json.loads(line)
@@ -146,7 +171,10 @@ def load_trace(path: str | Path) -> WorkloadTrace:
                 tuple(
                     Slice(
                         compute_cycles=compute,
-                        ops=tuple(MemOp(addr, bool(w)) for addr, w in ops),
+                        ops=tuple([
+                            writes[addr] if w else reads[addr]
+                            for addr, w in ops
+                        ]),
                     )
                     for compute, ops in cta
                 )

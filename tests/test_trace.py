@@ -1,5 +1,8 @@
 """Unit tests for trace recording, persistence, and replay."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.config import scaled_config
@@ -94,3 +97,58 @@ def test_suite_workload_traces():
     trace = record_trace(get_workload("Lonestar-SP"), TINY)
     assert trace.workload == "Lonestar-SP"
     assert trace.total_ops() > 0
+
+
+def _ops(trace):
+    return [op for k in trace.kernels for cta in k.ctas for s in cta for op in s.ops]
+
+
+def _assert_ops_shared(trace):
+    seen = {}
+    for op in _ops(trace):
+        assert seen.setdefault((op.addr, op.is_write), op) is op
+    # The table shares ops; it never merges distinct ones.
+    assert len(seen) < len(_ops(trace))
+
+
+@pytest.mark.parametrize("name", ["Rodinia-Gaussian", "Lonestar-SP"])
+def test_recorded_ops_are_shared_values(name):
+    # Rodinia-Gaussian has an init kernel, which shares the same table.
+    _assert_ops_shared(record_trace(get_workload(name), TINY))
+
+
+def test_record_trace_is_repeatable():
+    wl = get_workload("Rodinia-Gaussian")
+    assert record_trace(wl, TINY) == record_trace(wl, TINY)
+
+
+def test_loaded_trace_equals_recorded_and_shares_ops(tmp_path):
+    trace = record_trace(get_workload("Rodinia-Gaussian"), TINY)
+    path = tmp_path / "shared.trace"
+    save_trace(trace, path)
+    loaded = load_trace(path)
+    assert loaded == trace
+    _assert_ops_shared(loaded)
+
+
+def test_record_trace_frees_systems_that_replayed_the_last_trace():
+    wl = micro()
+    trace = record_trace(wl, TINY)
+    system = NumaGpuSystem(scaled_config(n_sockets=2, sms_per_socket=2))
+    system.run(trace.build_kernels(), wl.name)
+    gc.collect(0)  # the live system moves on to generation 1
+    dead = weakref.ref(system)
+    del system, trace
+    assert dead() is not None  # cyclic garbage: refcounts cannot free it
+    record_trace(wl, TINY)
+    assert dead() is None
+    assert gc.isenabled()
+
+
+def test_record_trace_keeps_a_callers_paused_collector():
+    gc.disable()
+    try:
+        record_trace(micro(), TINY)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
