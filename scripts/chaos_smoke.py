@@ -2,7 +2,7 @@
 """Chaos smoke: the figure suite survives faults and kills bit-identically.
 
 The CI companion of the fault-tolerant execution layer (DESIGN.md,
-"Failure-handling contract" and "Snapshot & resume contract"). Two legs
+"Failure-handling contract" and its "Study journal"). Two legs
 over the same figure grid, both opening with a clean serial reference:
 
 ``--leg faults`` (the default):

@@ -254,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
     }
 
-    # Level-2 checkpointing: the journal logs every grid cell's start
+    # Study checkpointing: the journal logs every grid cell's start
     # and completion (with its result) so a killed run can --resume.
     journal = None
     if args.checkpoint_dir is not None:

@@ -16,9 +16,7 @@ CI run. Rules (see DESIGN.md "Static contracts" for the catalogue):
 * ``export-roundtrip`` — ``RunResult`` fields survive the JSON
   round-trip in ``metrics/export.py`` (or are explicitly omitted);
 * ``registry-hygiene`` — registered policies have docstrings and a test
-  referencing their kind string;
-* ``snapshot-complete`` — every mutable attribute of a class defining
-  ``snapshot_state`` is captured, restored, or ``_SNAPSHOT_EXEMPT``.
+  referencing their kind string.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from repro.analysis.checkers.fingerprint import FingerprintChecker
 from repro.analysis.checkers.hotpath import HotPathChecker
 from repro.analysis.checkers.obs_hooks import ObsHookDisciplineChecker
 from repro.analysis.checkers.registry_hygiene import RegistryHygieneChecker
-from repro.analysis.checkers.snapshot import SnapshotCompleteChecker
 from repro.analysis.core import LintChecker
 
 
@@ -46,7 +43,6 @@ def default_checkers(rules: tuple[str, ...] | None = None) -> list[LintChecker]:
         ObsHookDisciplineChecker(),
         ExportRoundTripChecker(),
         RegistryHygieneChecker(),
-        SnapshotCompleteChecker(),
     ]
     if rules is None:
         return checkers
@@ -70,7 +66,6 @@ __all__ = [
     "HotPathChecker",
     "ObsHookDisciplineChecker",
     "RegistryHygieneChecker",
-    "SnapshotCompleteChecker",
     "all_rules",
     "default_checkers",
 ]

@@ -276,8 +276,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    base = scaled_config(n_sockets=args.sockets)
     try:
+        base = scaled_config(n_sockets=args.sockets)
         config = replace(
             base,
             cache_arch=CacheArch(args.cache),

@@ -44,18 +44,6 @@ class RuntimeLaunchError(ReproError):
     """The NUMA GPU runtime could not launch or decompose a kernel."""
 
 
-class SnapshotError(ReproError):
-    """Simulation state could not be captured or restored.
-
-    Raised when a snapshot is requested outside a quiescent boundary
-    (in-flight events, MSHR entries, queued CTAs, pending lane turns),
-    when the configuration is ineligible (periodic services that never
-    drain: cache partition controllers, link balancers, timeline
-    recording), or when serialized state fails checksum / shape
-    verification on restore.
-    """
-
-
 class CheckpointError(ReproError):
     """A study checkpoint journal or manifest could not be used.
 

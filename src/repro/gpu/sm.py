@@ -78,26 +78,3 @@ class Sm:
         """Free one CTA slot on CTA completion."""
         self.active_ctas -= 1
         self.n_ctas_finished += 1
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    # ``active_ctas`` is captured even though quiescence implies it is 0 —
-    # the round-trip stays exact without relying on the caller's checks.
-    _SNAPSHOT_EXEMPT = ("socket_id", "sm_index", "slots", "_stats")
-
-    def snapshot_state(self) -> dict:
-        """Residency count, CTA counters, and L1 contents."""
-        return {
-            "active_ctas": self.active_ctas,
-            "ctas_started": self.n_ctas_started,
-            "ctas_finished": self.n_ctas_finished,
-            "l1": self.l1.snapshot_state(),
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self.active_ctas = int(state["active_ctas"])
-        self.n_ctas_started = int(state["ctas_started"])
-        self.n_ctas_finished = int(state["ctas_finished"])
-        self.l1.restore_state(state["l1"])

@@ -42,7 +42,6 @@ from collections import deque
 from typing import Callable
 
 from repro.config import CacheArch, SystemConfig, WritePolicy
-from repro.errors import SnapshotError
 from repro.gpu.cta import CtaExecution, MemOp as _SingleOp, Slice
 from repro.gpu.sm import Sm
 from repro.interconnect.packets import DATA_BYTES
@@ -746,113 +745,6 @@ class GpuSocket:
         total = remote + self.n_local_accesses
         return remote / total if total else 0.0
 
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    # Wiring, hoisted invariants, pooled walkers, and the sub-kernel
-    # dispatch fields are exempt: walkers and MSHRs must be idle at a
-    # quiescent boundary (asserted below — a record with a live ``rp``
-    # is an in-flight read), and dispatch state is reset by the next
-    # ``start_subkernel``.
-    _SNAPSHOT_EXEMPT = (
-        "socket_id",
-        "config",
-        "engine",
-        "page_table",
-        "switch",
-        "line_size",
-        "arch",
-        "write_policy",
-        "_l1s",
-        "noc_latency",
-        "_noc_data_duration",
-        "_l2_hit_latency",
-        "_l2_holds_remote",
-        "_l2_write_through",
-        "_caches_remote_writes",
-        "_always_local",
-        "_fill_xlate",
-        "_l1_refills",
-        "_read_pool",
-        "_write_pool",
-        "_waiter_pool",
-        "_stats",
-        "_cta_queue",
-        "_active_ctas",
-        "_subkernel_done_cb",
-        "_subkernel_notified",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Caches, bandwidth servers, settled translations, and counters.
-
-        Raises :class:`~repro.errors.SnapshotError` unless the socket is
-        quiescent: no in-flight reads (line records with a live walker),
-        no queued or resident CTAs, and the current sub-kernel fully
-        notified. Only settled homes are captured under ``"xlate"``:
-        at a quiescent boundary every unsettled record has already been
-        dropped by its completing fetch.
-        """
-        in_flight = 0
-        for rec in self._lines.values():
-            if rec.rp is not None:
-                in_flight += 1
-        if (
-            in_flight
-            or self._cta_queue
-            or self._active_ctas
-            or not self._subkernel_notified
-        ):
-            raise SnapshotError(
-                f"socket {self.socket_id} is not quiescent: "
-                f"{in_flight} pending read(s), "
-                f"{self._active_ctas} active CTA(s), "
-                f"{len(self._cta_queue)} queued CTA(s), "
-                f"notified={self._subkernel_notified}"
-            )
-        return {
-            "sms": [sm.snapshot_state() for sm in self.sms],
-            "l2": self.l2.snapshot_state(),
-            "dram": self.dram.snapshot_state(),
-            "noc": self.noc.snapshot_state(),
-            "coherence": self.coherence.snapshot_state(),
-            "xlate": [
-                [line, rec.home]
-                for line, rec in self._lines.items()
-                if rec.home >= 0
-            ],
-            "counters": [
-                [key, getattr(self, attr)]
-                for attr, key in self._STAT_FIELDS
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`, onto a fresh socket.
-
-        The line-record dict is refilled *in place*: the page table
-        holds a reference to this socket's dict (registered at
-        construction) for re-homing invalidations, so the object identity
-        must survive restore. L1 frame home hints are rebuilt lazily by
-        the access path (hints never change observable behavior — only
-        which probe resolves the home).
-        """
-        for sm, sm_state in zip(self.sms, state["sms"]):
-            sm.restore_state(sm_state)
-        self.l2.restore_state(state["l2"])
-        self.dram.restore_state(state["dram"])
-        self.noc.restore_state(state["noc"])
-        self.coherence.restore_state(state["coherence"])
-        lines = self._lines
-        lines.clear()
-        for line, home in state["xlate"]:
-            rec = _LineRec()
-            rec.home = int(home)
-            lines[int(line)] = rec
-        counters = dict((key, value) for key, value in state["counters"])
-        for attr, key in self._STAT_FIELDS:
-            setattr(self, attr, int(counters.get(key, 0)))
-
 
 class LocalGpuSocket(GpuSocket):
     """Single-socket fast-path variant: every access is local.
@@ -864,7 +756,7 @@ class LocalGpuSocket(GpuSocket):
     probe and a recency splice; a line record exists only while its
     fetch is in flight (``home`` stays -1 and the completing walker
     drops it), so the record dict holds only the MSHR table. Everything
-    outside ``access_burst`` — eviction charging, flushes, snapshots —
+    outside ``access_burst`` — eviction charging, flushes, introspection —
     is inherited unchanged (``_line_home`` already short-circuits on
     ``_always_local``).
     """

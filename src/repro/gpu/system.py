@@ -14,7 +14,6 @@ import time
 from repro.config import CacheArch, LinkPolicy, SystemConfig
 from repro.core.link_policy import build_balancers
 from repro.core.numa_cache import CachePartitionController
-from repro.errors import SnapshotError
 from repro.gpu.socket import make_socket
 from repro.locality.cta import build_cta_policy
 from repro.locality.distance import DistanceModel
@@ -192,87 +191,6 @@ class NumaGpuSystem:
             self.engine.now,
             time.perf_counter() - wall_start,  # repro-lint: disable=determinism
         )
-
-    # ------------------------------------------------------------------
-    # checkpointed execution (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    def snapshot_eligible(self) -> str | None:
-        """Why this system cannot be snapshotted, or None when it can.
-
-        Periodic services never drain (their samplers perpetually
-        reschedule while active), so a system running cache partition
-        controllers, link balancers, or timeline recording has no
-        quiescent boundary to capture.
-        """
-        if self.cache_controllers:
-            return "cache partition controllers never quiesce"
-        if self.balancers:
-            return "link balancers never quiesce"
-        if self.record_timelines:
-            return "timeline recording keeps periodic samplers scheduled"
-        if self.metrics is not None:
-            return "metric sampler keeps periodic events scheduled"
-        return None
-
-    def run_prefix(self, kernels: list[KernelWork], pause_after: int) -> None:
-        """Run the first ``pause_after`` kernels, then pause quiescent.
-
-        The launcher stops scheduling after that many kernels complete
-        and the engine drains dry at the inter-kernel boundary; capture
-        the system with :class:`repro.sim.snapshot.SimSnapshot` next.
-        """
-        reason = self.snapshot_eligible()
-        if reason is not None:
-            raise SnapshotError(f"system cannot pause for snapshot: {reason}")
-        self._launcher = Launcher(
-            engine=self.engine,
-            sockets=self.sockets,
-            kernels=kernels,
-            cta_policy=self.cta_policy,
-            launch_latency=self.config.kernel_launch_latency,
-            on_kernel_launch=self._on_kernel_launch,
-            on_workload_done=self._on_workload_done,
-            pause_after=pause_after,
-        )
-        self._obs_enable()
-        try:
-            self._launcher.begin()
-            self._drain()
-        finally:
-            self._obs_disable()
-        assert self._launcher.paused, "engine drained without reaching pause"
-
-    def resume(
-        self,
-        kernels: list[KernelWork],
-        launcher_state: dict,
-        workload_name: str = "",
-    ) -> RunResult:
-        """Finish a kernel sequence from restored launcher state.
-
-        The engine, sockets, page table, and fabric must already have
-        been restored (see ``SimSnapshot.restore_into``); this rebuilds
-        the launch loop around them and drains to completion. The
-        resumed timeline is cycle-identical to an uninterrupted run.
-        """
-        self._launcher = Launcher(
-            engine=self.engine,
-            sockets=self.sockets,
-            kernels=kernels,
-            cta_policy=self.cta_policy,
-            launch_latency=self.config.kernel_launch_latency,
-            on_kernel_launch=self._on_kernel_launch,
-            on_workload_done=self._on_workload_done,
-        )
-        self._launcher.restore_state(launcher_state)
-        self._obs_enable()
-        try:
-            self._launcher.begin()
-            self._drain()
-        finally:
-            self._obs_disable()
-        assert self._launcher.finished, "engine drained before kernels completed"
-        return collect_results(self, workload_name)
 
     def _on_kernel_launch(self, kernel_index: int) -> None:
         for balancer in self.balancers:

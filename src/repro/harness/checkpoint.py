@@ -1,31 +1,18 @@
-"""Two-level checkpointing: warmup forking and crash-resumable studies.
+"""Crash-resumable studies: the on-disk study journal.
 
-Level 1 — **warmup forking** (in-process). A sweep that varies only the
-placement/CTA policy re-simulates the identical warmup prefix once per
-cell. :func:`warmup_snapshot` runs that prefix once, captures a
-:class:`~repro.sim.snapshot.SimSnapshot` at the quiescent inter-kernel
-boundary, and :func:`resume_snapshot` branches per-variant systems off
-it. Forked runs of the *same* config are byte-identical to cold runs
-(the restore overlays every mutable field; see the snapshot module);
-forked runs of a *variant* config inherit exactly the page->home table
-and placement stats of the prefix — the same facts a cold run of that
-variant would have produced only if its policy made identical choices,
-so fork mode is a modelling decision, not an optimization, and the
-figure suites never use it (they fork only same-config).
-
-Level 2 — **study journal** (on disk). A study directory holds a
-checksummed ``manifest.json`` pinning the simulator version, source
-digest, and scale, plus an append-only ``journal.jsonl`` where every
-grid cell logs a ``start`` line when dispatched and a ``done`` line
-(carrying the full serialized result) when finished. Each line is its
-own checksummed envelope, so a crash mid-append leaves at most one
-corrupt tail line; loading skips (and sidecars) corrupt lines instead
-of failing, then compact-rewrites the journal atomically. ``--resume``
-seeds every journaled-done cell straight into the experiment context
-and re-runs cells that only reached ``start`` — the figures of a
-killed-and-resumed study are byte-identical to an uninterrupted one
-because each cell's simulation is deterministic and runs either wholly
-before or wholly after the crash.
+A study directory holds a checksummed ``manifest.json`` pinning the
+simulator version, source digest, and scale, plus an append-only
+``journal.jsonl`` where every grid cell logs a ``start`` line when
+dispatched and a ``done`` line (carrying the full serialized result)
+when finished. Each line is its own checksummed envelope, so a crash
+mid-append leaves at most one corrupt tail line; loading skips (and
+sidecars) corrupt lines instead of failing, then compact-rewrites the
+journal atomically. ``--resume`` seeds every journaled-done cell
+straight into the experiment context and re-runs cells that only
+reached ``start`` — the figures of a killed-and-resumed study are
+byte-identical to an uninterrupted one because each cell's simulation
+is deterministic and runs either wholly before or wholly after the
+crash.
 """
 
 from __future__ import annotations
@@ -35,8 +22,7 @@ import os
 from pathlib import Path
 
 import repro
-from repro.config import SystemConfig, config_digest
-from repro.core.builder import _memoizing_kernels, build_system
+from repro.config import SystemConfig
 from repro.errors import CheckpointError
 from repro.harness.diskcache import (
     ResultDiskCache,
@@ -45,9 +31,6 @@ from repro.harness.diskcache import (
 )
 from repro.metrics.export import result_from_json_dict, result_to_json_dict
 from repro.metrics.report import RunResult
-from repro.sim.snapshot import SimSnapshot
-from repro.workloads.spec import WorkloadScale
-from repro.workloads.suite import get_workload
 
 #: File names inside a study (checkpoint) directory.
 MANIFEST_NAME = "manifest.json"
@@ -59,82 +42,6 @@ CORRUPT_SIDECAR = "journal.corrupt"
 #: Version of the manifest/journal format; bump on shape changes.
 JOURNAL_VERSION = 1
 
-
-# ---------------------------------------------------------------------------
-# Level 1: warmup forking
-# ---------------------------------------------------------------------------
-
-def warmup_snapshot(
-    config: SystemConfig,
-    workload_name: str,
-    scale: WorkloadScale,
-    pause_after: int = 1,
-) -> tuple[SimSnapshot, list]:
-    """Run a warmup prefix once and capture it at the kernel boundary.
-
-    Returns ``(snapshot, kernels)``; hand both to
-    :func:`resume_snapshot` for each branch. The kernel list carries
-    pre-materialized CTA slices (pure functions of workload and scale),
-    so branches share traces exactly as consecutive cold runs do.
-    Raises :class:`~repro.errors.SnapshotError` when the config is
-    snapshot-ineligible or the workload has fewer than two kernels.
-    """
-    workload = get_workload(workload_name)
-    kernels = _memoizing_kernels(workload, scale)
-    for work in kernels:
-        build = work.build_cta
-        for cta_index in range(work.n_ctas):
-            build(cta_index)
-    system = build_system(config)
-    system.run_prefix(kernels, pause_after=pause_after)
-    return SimSnapshot.capture(system), kernels
-
-
-def resume_snapshot(
-    snapshot: SimSnapshot,
-    config: SystemConfig,
-    kernels: list,
-    workload_name: str,
-) -> RunResult:
-    """Branch one run off a captured warmup prefix.
-
-    Builds a fresh system for ``config``, overlays the snapshot (fork
-    mode engages automatically when the config digest differs from the
-    captured one), and drains the remaining kernels to completion.
-    """
-    system = build_system(config)
-    fork = config_digest(config) != snapshot.config_digest
-    launcher_state = snapshot.restore_into(system, fork=fork)
-    return system.resume(kernels, launcher_state, workload_name=workload_name)
-
-
-def forked_results(
-    base_config: SystemConfig,
-    variant_configs: list[SystemConfig],
-    workload_name: str,
-    scale: WorkloadScale,
-    pause_after: int = 1,
-) -> list[RunResult]:
-    """One shared warmup, then one branch per variant config.
-
-    The warmup runs under ``base_config``; every entry of
-    ``variant_configs`` (which may include ``base_config`` itself)
-    resumes from the same captured boundary. Sweeps over policy
-    variants pay the warmup once per (fabric, workload) column instead
-    of once per cell.
-    """
-    snapshot, kernels = warmup_snapshot(
-        base_config, workload_name, scale, pause_after=pause_after
-    )
-    return [
-        resume_snapshot(snapshot, config, kernels, workload_name)
-        for config in variant_configs
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Level 2: study journal
-# ---------------------------------------------------------------------------
 
 def cell_key(workload: str, scale_name: str, record_timelines: bool,
              config: SystemConfig) -> str:
@@ -362,7 +269,4 @@ __all__ = [
     "MANIFEST_NAME",
     "StudyJournal",
     "cell_key",
-    "forked_results",
-    "resume_snapshot",
-    "warmup_snapshot",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 
 from repro.config import LinkConfig
-from repro.errors import InterconnectError, SnapshotError
+from repro.errors import InterconnectError
 from repro.obs.hooks import NOOP, register
 from repro.sim.engine import Engine
 from repro.sim.resource import BandwidthResource, UtilizationWindow
@@ -267,53 +267,3 @@ class DuplexLink:
         self._res_ingress.set_rate(rate)
         self.n_symmetric_resets += 1
         _obs_lane_reset(self.label, self.engine.now)
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    # ``windows`` is a fixed two-entry container whose values snapshot
-    # below; ``_pending_turns`` must be zero at a quiescent boundary (a
-    # pending commit is an engine event) and is asserted, not captured;
-    # ``_stats`` is the StatGroup shadow flatten_slots refills from the
-    # counters on every read. Byte/packet counts live in the two
-    # resources' snapshots.
-    _SNAPSHOT_EXEMPT = (
-        "socket_id",
-        "config",
-        "engine",
-        "latency",
-        "label",
-        "windows",
-        "_pending_turns",
-        "_stats",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Lane split, both bandwidth servers and windows, lane counters."""
-        if self._pending_turns:
-            raise SnapshotError(
-                f"{self.label}: {self._pending_turns} lane turn(s) still "
-                "in their quiesce window"
-            )
-        return {
-            "lanes_egress": self._lanes_egress,
-            "lanes_ingress": self._lanes_ingress,
-            "res_egress": self._res_egress.snapshot_state(),
-            "res_ingress": self._res_ingress.snapshot_state(),
-            "win_egress": self.windows[Direction.EGRESS].snapshot_state(),
-            "win_ingress": self.windows[Direction.INGRESS].snapshot_state(),
-            "lane_turns": self.n_lane_turns,
-            "symmetric_resets": self.n_symmetric_resets,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`, onto a fresh link."""
-        self._lanes_egress = int(state["lanes_egress"])
-        self._lanes_ingress = int(state["lanes_ingress"])
-        self._res_egress.restore_state(state["res_egress"])
-        self._res_ingress.restore_state(state["res_ingress"])
-        self.windows[Direction.EGRESS].restore_state(state["win_egress"])
-        self.windows[Direction.INGRESS].restore_state(state["win_ingress"])
-        self._pending_turns = 0
-        self.n_lane_turns = int(state["lane_turns"])
-        self.n_symmetric_resets = int(state["symmetric_resets"])

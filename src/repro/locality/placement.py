@@ -114,39 +114,6 @@ class PagePolicy:
     ) -> None:
         """Wire the runtime collaborators (no-op for static policies)."""
 
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    # Geometry and the spec are construction-time; ``stats`` is captured
-    # beside the policy state by repro.sim.snapshot.
-    _SNAPSHOT_EXEMPT = (
-        "n_sockets",
-        "page_size",
-        "granularity",
-        "migration_latency",
-        "spec",
-        "stats",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Page->home table as an insertion-ordered pair list."""
-        return {
-            "page_home": [
-                [page, home] for page, home in self.page_home.items()
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`.
-
-        The table is refilled *in place*: ``PageTable._page_home``
-        aliases this dict (the fused first-touch path and UVM prefetch
-        write it directly), so the object identity must survive restore.
-        """
-        self.page_home.clear()
-        for page, home in state["page_home"]:
-            self.page_home[int(page)] = int(home)
-
 
 class FineInterleavePolicy(PagePolicy):
     """Sub-page interleaving across sockets (traditional UMA layout)."""
@@ -280,25 +247,6 @@ class DynamicPagePolicy(PagePolicy):
             )
         return self.migration_latency
 
-    # ------------------------------------------------------------------
-    # snapshot / restore
-    # ------------------------------------------------------------------
-    # Runtime wiring is rebound by ``attach`` at construction time.
-    _SNAPSHOT_EXEMPT = ("_fabric", "_engine", "_page_table", "distance")
-
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["moves"] = [[page, n] for page, n in self._moves.items()]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        # ``.get`` defaults keep cross-kind forks legal: a branch from a
-        # different placement kind hands over only ``page_home``.
-        super().restore_state(state)
-        self._moves.clear()
-        for page, n in state.get("moves", []):
-            self._moves[int(page)] = int(n)
-
 
 class DistanceWeightedFirstTouchPolicy(DynamicPagePolicy):
     """First touch with hop-weighted centroid re-homing."""
@@ -378,26 +326,6 @@ class DistanceWeightedFirstTouchPolicy(DynamicPagePolicy):
                 best = s
         return best, home_cost - best_cost
 
-    # ------------------------------------------------------------------
-    # snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["counts"] = [
-            [page, list(row)] for page, row in self._counts.items()
-        ]
-        state["seen"] = [[page, n] for page, n in self._seen.items()]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._counts.clear()
-        for page, row in state.get("counts", []):
-            self._counts[int(page)] = [int(c) for c in row]
-        self._seen.clear()
-        for page, n in state.get("seen", []):
-            self._seen[int(page)] = int(n)
-
 
 class AccessCounterMigrationPolicy(DynamicPagePolicy):
     """Re-home after N remote touches from one socket (paper §4 dynamic).
@@ -455,29 +383,6 @@ class AccessCounterMigrationPolicy(DynamicPagePolicy):
                 self._writes.pop(page, None)
                 return accessor, self._re_home(page, home, accessor)
         return home, 0
-
-    # ------------------------------------------------------------------
-    # snapshot / restore
-    # ------------------------------------------------------------------
-    def snapshot_state(self) -> dict:
-        state = super().snapshot_state()
-        state["remote"] = [
-            [page, [[socket, n] for socket, n in counts.items()]]
-            for page, counts in self._remote.items()
-        ]
-        state["writes"] = [[page, n] for page, n in self._writes.items()]
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self._remote.clear()
-        for page, counts in state.get("remote", []):
-            self._remote[int(page)] = dict(
-                (int(socket), int(n)) for socket, n in counts
-            )
-        self._writes.clear()
-        for page, n in state.get("writes", []):
-            self._writes[int(page)] = int(n)
 
 
 #: kind -> policy class; the registry behind ``build_page_policy`` and

@@ -719,103 +719,3 @@ class SetAssocCache:
         hits = self.n_read_hits + self.n_write_hits
         total = hits + self.n_read_misses + self.n_write_misses
         return hits / total if total else 0.0
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    # Geometry, the flatten-only StatGroup, and every structure that
-    # restore recomputes from the frames (tag index, occupancy counters,
-    # recency sentinels) are exempt; the frames themselves plus the LRU
-    # *order* are the canonical state.
-    _SNAPSHOT_EXEMPT = (
-        "name",
-        "config",
-        "write_through",
-        "n_sets",
-        "n_ways",
-        "line_size",
-        "_where",
-        "_set_mask",
-        "_set_valid",
-        "_set_local",
-        "_set_remote",
-        "_lru",
-        "_stats",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Frames, recency order, quotas, and counters.
-
-        Each allocated set serializes as ``[set_idx, frames, order]``
-        where ``frames`` lists one entry per way in set order — ``None``
-        for an invalid frame (normalizing any stale tag metadata so a
-        restored cache re-snapshots byte-identically) or ``[line, cls,
-        dirty]`` for a valid one — and ``order`` lists the valid frame
-        indices LRU -> MRU as read off the recency list.
-        """
-        sets = []
-        for set_idx, cache_set in enumerate(self._sets):
-            if cache_set is None:
-                continue
-            frames = [
-                None if way.line is None else [way.line, way.cls, way.dirty]
-                for way in cache_set
-            ]
-            order = []
-            sent = self._lru[set_idx]
-            way = sent.nxt
-            while way is not sent:
-                order.append(cache_set.index(way))
-                way = way.nxt
-            sets.append([set_idx, frames, order])
-        return {
-            "sets": sets,
-            "partitioned": self.partitioned,
-            "quota": list(self._quota),
-            "counters": [
-                [key, getattr(self, attr)]
-                for attr, key in self._STAT_FIELDS
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`, onto a fresh cache.
-
-        Rebuilds the tag index, relinks the recency lists in the captured
-        order, and recomputes per-set validity/class occupancy from the
-        frames — none of that is serialized.
-        """
-        counters = dict((key, value) for key, value in state["counters"])
-        for attr, key in self._STAT_FIELDS:
-            setattr(self, attr, int(counters.get(key, 0)))
-        self.partitioned = bool(state["partitioned"])
-        self._quota = [int(q) for q in state["quota"]]
-        self._sets = [None] * self.n_sets
-        self._lru = [None] * self.n_sets
-        self._where.clear()
-        self._set_valid = [0] * self.n_sets
-        self._set_local = [0] * self.n_sets
-        self._set_remote = [0] * self.n_sets
-        for set_idx, frames, order in state["sets"]:
-            cache_set = self._alloc_set(set_idx)
-            for way, frame in zip(cache_set, frames):
-                if frame is None:
-                    continue
-                line, cls, dirty = frame
-                way.line = int(line)
-                way.cls = int(cls)
-                way.dirty = bool(dirty)
-                self._where[way.line] = way
-                self._set_valid[set_idx] += 1
-                if way.cls:
-                    self._set_remote[set_idx] += 1
-                else:
-                    self._set_local[set_idx] += 1
-            sent = self._lru[set_idx]
-            for frame_idx in order:
-                way = cache_set[frame_idx]
-                p = sent.prev
-                p.nxt = way
-                way.prev = p
-                way.nxt = sent
-                sent.prev = way

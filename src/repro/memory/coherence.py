@@ -89,24 +89,3 @@ class CoherenceDomain:
             return result
         result.add(self.l2.invalidate_all())
         return result
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    # The caches belong to the SMs / socket and snapshot there; the only
-    # state owned here is the flush StatGroup (written via direct adds).
-    _SNAPSHOT_EXEMPT = (
-        "socket_id",
-        "cache_arch",
-        "l1s",
-        "l2",
-        "invalidations_enabled",
-    )
-
-    def snapshot_state(self) -> list:
-        """Flush counters (the caches snapshot with their owners)."""
-        return self.stats.snapshot_state()
-
-    def restore_state(self, state: list) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self.stats.restore_state(state)

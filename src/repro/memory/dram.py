@@ -75,24 +75,3 @@ class DramChannel:
     def bytes_total(self) -> int:
         """Total bytes moved through this channel."""
         return self.resource.bytes_total
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    _SNAPSHOT_EXEMPT = ("socket_id", "latency", "_stats")
-
-    def snapshot_state(self) -> dict:
-        """Bandwidth-server state plus access counters."""
-        return {
-            "resource": self.resource.snapshot_state(),
-            "reads": self.n_reads,
-            "writes": self.n_writes,
-            "bytes": self.n_bytes,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self.resource.restore_state(state["resource"])
-        self.n_reads = int(state["reads"])
-        self.n_writes = int(state["writes"])
-        self.n_bytes = int(state["bytes"])

@@ -264,41 +264,3 @@ class PageTable:
     def re_homed_pages(self) -> int:
         """Dynamic re-homes performed so far (zero for static policies)."""
         return self.policy.stats["re_homes"]
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    # The policy's own state (page->home table, counters, stats) is
-    # captured by repro.sim.snapshot as the payload's "placement" entry;
-    # the registered line caches belong to the sockets and are captured
-    # there.
-    _SNAPSHOT_EXEMPT = (
-        "policy",
-        "n_sockets",
-        "migration_latency",
-        "cacheable",
-        "_page_home",
-        "_page_size",
-        "_dynamic",
-        "_fused_first_touch",
-        "_stats",
-        "_line_caches",
-        "_frame_hints",
-        "_lines_per_page",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Translation counters (the policy snapshots separately)."""
-        return {
-            "faults": self.n_faults,
-            "translations": self.n_translations,
-            "translation_invalidations": self.n_translation_invalidations,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self.n_faults = int(state["faults"])
-        self.n_translations = int(state["translations"])
-        self.n_translation_invalidations = int(
-            state["translation_invalidations"]
-        )

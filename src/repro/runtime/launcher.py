@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.errors import SnapshotError
 from repro.gpu.socket import GpuSocket
 from repro.locality.cta import CtaAssignmentPolicy
 from repro.obs.hooks import NOOP, register
@@ -42,14 +41,10 @@ register(__name__, "_obs_subkernel_done", "subkernel_done")
 class Launcher:
     """Executes a list of kernels on a set of sockets.
 
-    ``pause_after`` supports checkpointing (DESIGN.md, "Snapshot &
-    resume contract"): after that many kernels have *completed*, the
-    launcher simply does not schedule the next launch, leaving the
-    engine to drain at a quiescent inter-kernel boundary. A fresh
-    launcher restored via :meth:`restore_state` and re-``begin()``-un
-    schedules the next launch exactly where the paused run would have —
-    ``launch_latency`` cycles after the boundary — so the resumed
-    timeline is cycle-identical to an uninterrupted one.
+    :meth:`begin` schedules the first launch; from then on the loop is
+    driven entirely by engine events — each kernel's last sub-kernel
+    barrier schedules the next launch ``launch_latency`` cycles later,
+    and the launcher reports :attr:`finished` once the list is drained.
     """
 
     def __init__(
@@ -61,7 +56,6 @@ class Launcher:
         launch_latency: int,
         on_kernel_launch: Callable[[int], None] | None = None,
         on_workload_done: Callable[[], None] | None = None,
-        pause_after: int | None = None,
     ) -> None:
         self.engine = engine
         self.sockets = sockets
@@ -70,37 +64,20 @@ class Launcher:
         self.launch_latency = launch_latency
         self.on_kernel_launch = on_kernel_launch
         self.on_workload_done = on_workload_done
-        if pause_after is not None and not 1 <= pause_after < len(kernels):
-            raise SnapshotError(
-                f"pause_after={pause_after} outside 1..{len(kernels) - 1}: "
-                "a snapshot boundary must leave at least one kernel on "
-                "each side"
-            )
-        self.pause_after = pause_after
         self.stats = StatGroup("launcher")
         self.kernel_launch_times: list[int] = []
         self._kernel_idx = -1
         self._sockets_pending = 0
         self._finished = False
-        self._paused = False
 
     def begin(self) -> None:
-        """Schedule the first kernel launch (call once, then run engine).
-
-        On a restored launcher this schedules the *next* kernel instead
-        — ``_kernel_idx`` carries across the boundary.
-        """
+        """Schedule the first kernel launch (call once, then run engine)."""
         self.engine.schedule(self.launch_latency, self._launch_next)
 
     @property
     def finished(self) -> bool:
         """True once every kernel has completed."""
         return self._finished
-
-    @property
-    def paused(self) -> bool:
-        """True when ``pause_after`` stopped the launch loop."""
-        return self._paused
 
     # ------------------------------------------------------------------
     # launch loop
@@ -129,9 +106,6 @@ class Launcher:
         self._sockets_pending = len(populated)
         _obs_kernel_launch(self._kernel_idx, kernel.name, self.engine.now, populated)
         if not populated:
-            if self._kernel_idx + 1 == self.pause_after:
-                self._paused = True
-                return
             self.engine.schedule(self.launch_latency, self._launch_next)
             return
         for socket, block in populated:
@@ -143,57 +117,4 @@ class Launcher:
         self._sockets_pending -= 1
         if self._sockets_pending == 0:
             self.stats.add("kernels_completed")
-            if self._kernel_idx + 1 == self.pause_after:
-                self._paused = True
-                return
             self.engine.schedule(self.launch_latency, self._launch_next)
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    # The kernel list, sockets, policy, and callbacks are construction
-    # arguments of the resuming launcher; ``_sockets_pending`` is zero at
-    # any pause boundary and ``_paused``/``pause_after`` describe the
-    # *old* run, not the resumed one.
-    _SNAPSHOT_EXEMPT = (
-        "engine",
-        "sockets",
-        "kernels",
-        "cta_policy",
-        "launch_latency",
-        "on_kernel_launch",
-        "on_workload_done",
-        "pause_after",
-        "_sockets_pending",
-        "_paused",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Launch-loop cursor, launch times, and launcher stats."""
-        if not self._paused:
-            raise SnapshotError(
-                "launcher is not paused at a kernel boundary "
-                f"(kernel_idx={self._kernel_idx}, finished={self._finished})"
-            )
-        return {
-            "kernel_idx": self._kernel_idx,
-            "kernel_launch_times": list(self.kernel_launch_times),
-            "stats": self.stats.snapshot_state(),
-            "finished": self._finished,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`, onto a fresh launcher.
-
-        Call :meth:`begin` afterwards: it schedules ``_launch_next``
-        ``launch_latency`` cycles past the restored clock — the same
-        event the paused run would have scheduled at its boundary.
-        """
-        self._kernel_idx = int(state["kernel_idx"])
-        self.kernel_launch_times = [
-            int(t) for t in state["kernel_launch_times"]
-        ]
-        self.stats.restore_state(state["stats"])
-        self._finished = bool(state["finished"])
-        self._sockets_pending = 0
-        self._paused = False

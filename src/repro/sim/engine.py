@@ -57,7 +57,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable
 
-from repro.errors import SchedulingError, SnapshotError
+from repro.errors import SchedulingError
 
 Callback = Callable[..., None]
 
@@ -68,9 +68,6 @@ Callback = Callable[..., None]
 RING_SIZE = 8192
 #: Slot index mask: ``slot = time & RING_MASK``.
 RING_MASK = RING_SIZE - 1
-
-#: Template for clearing a ring in place without a Python-level loop.
-_EMPTY_RING = (None,) * RING_SIZE
 
 
 class Engine:
@@ -104,7 +101,7 @@ class Engine:
         #: calendar ring: slot ``t & RING_MASK`` -> FIFO of entries at
         #: ``t``, or None. The list object is allocated once and mutated
         #: in place forever — hot callers cache a reference to it.
-        self._ring: list = list(_EMPTY_RING)
+        self._ring: list = [None] * RING_SIZE
         #: occupied ring slots (O(1) emptiness check for the drain loop).
         self._ring_items: int = 0
         #: overflow events (time >= now + RING_SIZE): timestamp -> FIFO.
@@ -429,52 +426,3 @@ class Engine:
                 time += 1
             return time
         return self._times[0] if self._times else None
-
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    # The queue itself is never serialized: snapshots are only legal at
-    # quiescent boundaries where the queue is empty, so the mutable state
-    # reduces to the clock and the event counter. The ring, the overflow
-    # structures and ``_pending`` are asserted empty and ``_running``
-    # false. ``now`` may sit anywhere in the ring's modular window — slot
-    # indices are derived from the clock, so nothing about the wrap
-    # position needs capturing.
-    _SNAPSHOT_EXEMPT = (
-        "_ring",
-        "_ring_items",
-        "_buckets",
-        "_times",
-        "_pending",
-        "_running",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Clock + event counter of a drained engine.
-
-        Raises :class:`~repro.errors.SnapshotError` when events are still
-        queued or a drain is in progress — entries in the bucket queue
-        are arbitrary bound methods and cannot be serialized.
-        """
-        if self._pending or self._ring_items or self._buckets or self._running:
-            raise SnapshotError(
-                f"engine is not quiescent: {self._pending} pending "
-                f"event(s), running={self._running}"
-            )
-        return {"now": self.now, "events_processed": self._events_processed}
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`, onto a fresh engine.
-
-        The ring list is cleared *in place* — hot callers (the issue loop
-        and the pooled walkers) cache a reference to it at construction,
-        so its identity must survive a restore.
-        """
-        self._ring[:] = _EMPTY_RING
-        self._ring_items = 0
-        self._buckets.clear()
-        self._times.clear()
-        self._pending = 0
-        self._running = False
-        self.now = int(state["now"])
-        self._events_processed = int(state["events_processed"])

@@ -166,8 +166,8 @@ class ReadPath:
         self.socket = socket
         engine = socket.engine
         self.engine = engine
-        # The ring list's identity is stable for the engine's lifetime
-        # (restore_state clears it in place), so caching it here is safe.
+        # The ring list is allocated once and never rebound for the
+        # engine's lifetime, so caching it here is safe.
         self.ring = engine._ring
         self.ovf = engine._overflow_push
         self.socket_id = socket.socket_id

@@ -150,34 +150,6 @@ class BandwidthResource:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BandwidthResource({self.name!r}, rate={self._rate})"
 
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    _SNAPSHOT_EXEMPT = ("name",)  # construction-time identity
-
-    def snapshot_state(self) -> dict:
-        """Rate, FIFO horizon, and lifetime counters.
-
-        ``next_free`` / ``busy`` are floats; JSON round-trips Python
-        floats exactly (shortest-repr encoding), so a restored server
-        admits every later transfer at bit-identical times.
-        """
-        return {
-            "rate": self._rate,
-            "next_free": self._next_free,
-            "busy": self._busy_granted,
-            "bytes": self._bytes_total,
-            "transfers": self._transfers,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self._rate = float(state["rate"])
-        self._next_free = float(state["next_free"])
-        self._busy_granted = float(state["busy"])
-        self._bytes_total = int(state["bytes"])
-        self._transfers = int(state["transfers"])
-
 
 class UtilizationWindow:
     """Computes per-window utilization of a :class:`BandwidthResource`.
@@ -204,17 +176,3 @@ class UtilizationWindow:
         self._last_time = now
         self._last_busy = busy
         return min(1.0, max(0.0, util))
-
-    # ------------------------------------------------------------------
-    # snapshot / restore
-    # ------------------------------------------------------------------
-    _SNAPSHOT_EXEMPT = ("resource",)  # rebound at construction
-
-    def snapshot_state(self) -> dict:
-        """Last sample point of the window."""
-        return {"last_time": self._last_time, "last_busy": self._last_busy}
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`."""
-        self._last_time = int(state["last_time"])
-        self._last_busy = float(state["last_busy"])

@@ -73,26 +73,6 @@ class StatGroup:
         """Snapshot of all counters (non-destructive)."""
         return dict(self._counters)
 
-    # Mutable snapshot state is the counter dict alone; the group name is
-    # construction-time identity (see DESIGN.md, "Snapshot & resume
-    # contract").
-    _SNAPSHOT_EXEMPT = ("name",)
-
-    def snapshot_state(self) -> list:
-        """Counters as an insertion-ordered ``[key, value]`` pair list.
-
-        Pair lists (not a dict) keep the JSON form faithful to dict
-        insertion order, so restore rebuilds the identical dict and a
-        re-snapshot is byte-identical.
-        """
-        return [[key, value] for key, value in self._counters.items()]
-
-    def restore_state(self, state: list) -> None:
-        """Inverse of :meth:`snapshot_state` (in-place clear + refill)."""
-        self._counters.clear()
-        for key, value in state:
-            self._counters[key] = value
-
     def ratio(self, numerator: str, *denominators: str) -> float:
         """``numerator / sum(denominators)``, or 0.0 when undefined."""
         denom = sum(self._counters[d] for d in denominators)

@@ -355,42 +355,6 @@ class MultiHopFabric:
             )
         return DistanceModel.from_spec(self.spec, self._edge_links)
 
-    # ------------------------------------------------------------------
-    # snapshot / restore (DESIGN.md, "Snapshot & resume contract")
-    # ------------------------------------------------------------------
-    # Routing tables, hop programs, and incidence lists are compiled from
-    # the spec at construction; only the edges and the traffic counters
-    # accumulate state.
-    _SNAPSHOT_EXEMPT = (
-        "engine",
-        "spec",
-        "routes",
-        "crossbar",
-        "owners",
-        "_edge_links",
-        "_programs",
-        "_route_hops",
-        "_incident",
-        "_stats",
-    )
-
-    def snapshot_state(self) -> dict:
-        """Per-edge link states, hop histogram, and packet counters."""
-        return {
-            "edges": [edge.snapshot_state() for edge in self.edges],
-            "hop_hist": list(self._hop_hist),
-            "packets": self.n_packets,
-            "bytes": self.n_bytes,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`snapshot_state`, onto a fresh fabric."""
-        for edge, edge_state in zip(self.edges, state["edges"]):
-            edge.restore_state(edge_state)
-        self._hop_hist = [int(n) for n in state["hop_hist"]]
-        self.n_packets = int(state["packets"])
-        self.n_bytes = int(state["bytes"])
-
 
 def build_fabric(config: SystemConfig, engine: Engine):
     """The single fabric-or-none decision for one system config.

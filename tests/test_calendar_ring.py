@@ -18,9 +18,7 @@ identical fire order, covering
   window advances,
 * periodic self-rescheduling chains with periods straddling the window
   size — the scheduling shape of the Section 4 lane balancer, whose
-  ``set_rate`` turns are driven by fixed-period controller events,
-* snapshot/restore round-trips with ``now`` parked mid-window, after
-  which the restored ring must keep draining in specification order.
+  ``set_rate`` turns are driven by fixed-period controller events.
 """
 
 from __future__ import annotations
@@ -28,11 +26,9 @@ from __future__ import annotations
 import heapq
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SnapshotError
 from repro.sim.engine import RING_SIZE, Engine
 
 
@@ -132,57 +128,3 @@ def test_ring_drains_in_reference_heap_order(roots, chains, seed):
     ring = _execute(Engine(), seed, roots, chains)
     assert ring == reference
     assert [t for t, _ in ring] == sorted(t for t, _ in ring)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    root_times,
-    st.lists(st.sampled_from(DELAYS), min_size=1, max_size=16),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-def test_ring_survives_snapshot_restore_mid_window(roots, phase2, seed):
-    """A restored engine, parked mid-window, keeps specification order.
-
-    Phase 1 drains to quiescence at an arbitrary mid-window ``now``;
-    the engine state round-trips through snapshot/restore into a fresh
-    engine; phase 2 schedules across both window boundaries from the
-    restored clock. The combined fire order must match a reference run
-    that never snapshotted.
-    """
-    reference = ReferenceEngine()
-    order_ref = _execute(reference, seed, roots, [])
-    engine = Engine()
-    order_ring = _execute(engine, seed, roots, [])
-    assert order_ring == order_ref
-
-    restored = Engine()
-    restored.restore_state(engine.snapshot_state())
-    assert restored.now == engine.now
-
-    for target in (restored, reference):
-        tail: list[tuple[int, tuple]] = []
-        for i, delay in enumerate(phase2):
-            tag = ("p2", i)
-            target.schedule_call(
-                delay, lambda t=tag, o=tail, e=target: o.append((e.now, t))
-            )
-        target.run()
-        if target is restored:
-            tail_ring = tail
-        else:
-            tail_ref = tail
-    assert tail_ring == tail_ref
-
-
-def test_snapshot_refuses_a_half_drained_ring():
-    """Quiescence is part of the snapshot contract: pending ring events
-    (near-future) and overflow events (far-future) both block capture."""
-    engine = Engine()
-    engine.schedule_call(5, lambda: None)
-    with pytest.raises(SnapshotError):
-        engine.snapshot_state()
-    engine.run()
-    engine.snapshot_state()  # quiescent again: fine
-    engine.schedule_call(2 * RING_SIZE, lambda: None)
-    with pytest.raises(SnapshotError):
-        engine.snapshot_state()

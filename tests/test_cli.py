@@ -174,6 +174,15 @@ def test_run_rejects_topology_on_one_socket(capsys):
     assert "at least 2 sockets" in err
 
 
+@pytest.mark.parametrize("sockets", ["0", "-2"])
+def test_run_rejects_nonpositive_socket_count(sockets, capsys):
+    # A bad --sockets is a ConfigError from scaled_config: a clean
+    # usage error, not a traceback.
+    code = main(["run", "Lonestar-SP", "--sockets", sockets])
+    assert code == 2
+    assert "error: need at least one socket" in capsys.readouterr().err
+
+
 def test_run_command_with_locality_policies(capsys):
     code = main([
         "run", "Lonestar-SP", "--sockets", "4", "--scale", "tiny",

@@ -479,123 +479,6 @@ def test_registry_hygiene_dict_literal_aliases(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# snapshot completeness
-# ----------------------------------------------------------------------
-def test_snapshot_complete_flags_forgotten_attr(tmp_path):
-    # The drift the rule exists for: a mutable counter added to
-    # __init__ but never serialized — a restored run silently keeps the
-    # fresh default.
-    (tmp_path / "mod.py").write_text(
-        "class Cache:\n"
-        "    def __init__(self):\n"
-        "        self.frames = {}\n"
-        "        self.hits = 0\n"
-        "\n"
-        "    def snapshot_state(self):\n"
-        "        return {'frames': list(self.frames.items())}\n"
-        "\n"
-        "    def restore_state(self, state):\n"
-        "        self.frames = dict(state['frames'])\n"
-    )
-    findings = _lint(tmp_path, rules=("snapshot-complete",))
-    assert len(findings) == 1
-    assert "Cache.hits" in findings[0].message
-    assert findings[0].symbol == "Cache.snapshot_state"
-
-
-def test_snapshot_complete_flags_slots_only_attr(tmp_path):
-    (tmp_path / "mod.py").write_text(
-        "class Server:\n"
-        "    __slots__ = ('rate', 'next_free')\n"
-        "\n"
-        "    def snapshot_state(self):\n"
-        "        return {'rate': self.rate}\n"
-        "\n"
-        "    def restore_state(self, state):\n"
-        "        self.rate = state['rate']\n"
-    )
-    findings = _lint(tmp_path, rules=("snapshot-complete",))
-    assert len(findings) == 1
-    assert "Server.next_free" in findings[0].message
-
-
-def test_snapshot_complete_flags_missing_restore(tmp_path):
-    (tmp_path / "mod.py").write_text(
-        "class Engine:\n"
-        "    def __init__(self):\n"
-        "        self.now = 0\n"
-        "\n"
-        "    def snapshot_state(self):\n"
-        "        return {'now': self.now}\n"
-    )
-    findings = _lint(tmp_path, rules=("snapshot-complete",))
-    assert any("no restore_state" in f.message for f in findings)
-
-
-def test_snapshot_complete_sanctioned_idioms_are_clean(tmp_path):
-    # Covered attrs, the _STAT_FIELDS slotted-counter table, and the
-    # _SNAPSHOT_EXEMPT declaration together account for everything.
-    (tmp_path / "mod.py").write_text(
-        "class Link:\n"
-        "    __slots__ = ('lanes', 'engine', 'n_bytes', 'n_packets')\n"
-        "\n"
-        "    _STAT_FIELDS = (('n_bytes', 'bytes'), ('n_packets', 'packets'))\n"
-        "    _SNAPSHOT_EXEMPT = ('engine',)\n"
-        "\n"
-        "    def snapshot_state(self):\n"
-        "        return {\n"
-        "            'lanes': self.lanes,\n"
-        "            'counters': [[key, getattr(self, attr)]\n"
-        "                         for attr, key in self._STAT_FIELDS],\n"
-        "        }\n"
-        "\n"
-        "    def restore_state(self, state):\n"
-        "        self.lanes = state['lanes']\n"
-        "        counters = dict(state['counters'])\n"
-        "        for attr, key in self._STAT_FIELDS:\n"
-        "            setattr(self, attr, counters.get(key, 0))\n"
-    )
-    assert _lint(tmp_path, rules=("snapshot-complete",)) == []
-
-
-def test_snapshot_complete_skips_inheriting_subclasses(tmp_path):
-    # A subclass that only adds construction-time wiring and inherits
-    # snapshot_state is not re-audited (the base contract is).
-    (tmp_path / "mod.py").write_text(
-        "class Base:\n"
-        "    def __init__(self):\n"
-        "        self.value = 0\n"
-        "\n"
-        "    def snapshot_state(self):\n"
-        "        return {'value': self.value}\n"
-        "\n"
-        "    def restore_state(self, state):\n"
-        "        self.value = state['value']\n"
-        "\n"
-        "class Edge(Base):\n"
-        "    def __init__(self, name):\n"
-        "        super().__init__()\n"
-        "        self.name = name\n"
-    )
-    assert _lint(tmp_path, rules=("snapshot-complete",)) == []
-
-
-def test_snapshot_complete_honours_suppression(tmp_path):
-    (tmp_path / "mod.py").write_text(
-        "class Cache:\n"
-        "    def __init__(self):\n"
-        "        self.hits = 0\n"
-        "\n"
-        "    def snapshot_state(self):  # repro-lint: disable=snapshot-complete\n"
-        "        return {}\n"
-        "\n"
-        "    def restore_state(self, state):\n"
-        "        pass\n"
-    )
-    assert _lint(tmp_path, rules=("snapshot-complete",)) == []
-
-
-# ----------------------------------------------------------------------
 # baseline machinery
 # ----------------------------------------------------------------------
 def test_baseline_round_trip_and_drift(tmp_path):
@@ -659,7 +542,7 @@ def test_lint_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule, _ in all_rules():
         assert rule in out
-    assert len(all_rules()) == 8
+    assert len(all_rules()) == 7
 
 
 def test_lint_cli_unknown_rule_is_usage_error(tmp_path, capsys):

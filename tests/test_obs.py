@@ -3,8 +3,7 @@
 The headline guarantees:
 
 * **Determinism** — two traced runs of the same config serialize to
-  byte-identical Chrome payloads, and a run resumed from a snapshot
-  records exactly the cold run's event stream after the fork point.
+  byte-identical Chrome payloads.
 * **Zero overhead when off** — an untraced run's RunResult is
   byte-identical to a traced run's (no sampler), and every hook site
   is restored to NOOP once a traced run finishes.
@@ -19,7 +18,6 @@ import pytest
 
 from repro.config import CacheArch
 from repro.core.builder import build_system, run_workload_on, run_workload_traced
-from repro.harness.checkpoint import warmup_snapshot
 from repro.harness.runner import ExperimentContext
 from repro.metrics.export import result_to_json_dict
 from repro.obs import NOOP, Tracer, is_enabled
@@ -76,35 +74,6 @@ def test_traced_run_result_matches_untraced():
     )
 
 
-def test_fork_trace_matches_cold_trace_after_fork_point():
-    # Trace a cold uninterrupted run, then fork an identical config off
-    # an (untraced) warmup snapshot and trace only the resumed half.
-    # The resumed event stream must be an exact suffix of the cold one:
-    # the fork point splits the trace, it does not perturb it.
-    config = _config()
-    cold = Tracer()
-    run_workload_traced(config, get_workload(WORKLOAD), TINY, tracer=cold)
-
-    snapshot, kernels = warmup_snapshot(config, WORKLOAD, TINY)
-    resumed = Tracer()
-    system = build_system(config, tracer=resumed)
-    launcher_state = snapshot.restore_into(system)
-    system.resume(kernels, launcher_state, workload_name=WORKLOAD)
-
-    assert resumed.kernel_spans, "resumed run recorded no kernel spans"
-    for kind in ("kernel_spans", "read_spans", "write_spans",
-                 "migrations", "fabric_sends", "lane_events"):
-        cold_events = getattr(cold, kind)
-        resumed_events = getattr(resumed, kind)
-        n = len(resumed_events)
-        suffix = cold_events[len(cold_events) - n:] if n else []
-        assert resumed_events == suffix, kind
-    # The warmup prefix (kernel 0) exists only in the cold trace.
-    assert {span[0] for span in cold.kernel_spans} - {
-        span[0] for span in resumed.kernel_spans
-    } == {0}
-
-
 # ---------------------------------------------------------------------------
 # zero overhead when off
 # ---------------------------------------------------------------------------
@@ -133,12 +102,6 @@ def test_enable_is_exclusive():
         obs_hooks.disable()
     assert not is_enabled()
     obs_hooks.disable()  # idempotent
-
-
-def test_metrics_sampler_blocks_snapshots():
-    system = build_system(_config(), tracer=Tracer(), metrics_interval=500)
-    assert "sampler" in system.snapshot_eligible()
-    assert build_system(_config(), tracer=Tracer()).snapshot_eligible() is None
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,10 @@ def test_loaded_trace_equals_recorded_and_shares_ops(tmp_path):
 def test_record_trace_frees_systems_that_replayed_the_last_trace():
     wl = micro()
     trace = record_trace(wl, TINY)
+    # Start from empty generations so the system below is not promoted
+    # past generation 1 by collections that earlier allocations (other
+    # tests included) left due.
+    gc.collect()
     system = NumaGpuSystem(scaled_config(n_sockets=2, sms_per_socket=2))
     system.run(trace.build_kernels(), wl.name)
     gc.collect(0)  # the live system moves on to generation 1
