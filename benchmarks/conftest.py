@@ -16,48 +16,20 @@ Environment knobs:
   per config; with more than one worker the grid fans out over that
   many processes. Results are bit-identical either way (the benches
   then measure the same warm-cache reductions).
-* ``REPRO_BENCH_JSON`` — where the machine-readable timing summary is
-  written at session end (default: ``BENCH_hotpath.json`` in the repo
-  root). The summary carries the session wall-clock, the simulations
-  actually executed in-process, and their aggregate events/sec; an
-  ``events_per_second_floor`` already present in the file is preserved so
-  the CI perf smoke (``scripts/perf_smoke.py``) keeps its regression bar
-  across re-measurements.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
 
 import pytest
 
 from repro.harness import experiments as exp
 from repro.harness.parallel import ParallelRunner, resolve_jobs
 from repro.harness.runner import ExperimentContext
-from repro.sim.instrumentation import SIM_TALLY
 from repro.workloads.spec import SCALES
 
 _CONTEXTS: dict[str, ExperimentContext] = {}
-
-_SESSION_START = time.perf_counter()
-
-#: True only when this session actually collected benchmark tests. A
-#: plain tier-1 ``pytest`` run from the repo root traverses this
-#: directory (loading this conftest) without collecting any bench; its
-#: sessionfinish must NOT overwrite BENCH_hotpath.json with the unit-test
-#: suite's incidental simulation tally.
-_COLLECTED_BENCH_ITEMS = False
-
-
-def pytest_collection_modifyitems(session, config, items) -> None:
-    global _COLLECTED_BENCH_ITEMS
-    here = Path(__file__).resolve().parent
-    _COLLECTED_BENCH_ITEMS = any(
-        here in Path(str(item.fspath)).resolve().parents for item in items
-    )
 
 
 def bench_scale_name() -> str:
@@ -103,43 +75,3 @@ def shared_context() -> ExperimentContext:
 @pytest.fixture(scope="session")
 def ctx() -> ExperimentContext:
     return shared_context()
-
-
-def _bench_json_path() -> Path:
-    override = os.environ.get("REPRO_BENCH_JSON", "").strip()
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    """Emit machine-readable benchmark timings (events/sec + wall-clock).
-
-    ``simulations``/``events``/``events_per_second`` cover the runs this
-    process executed (a parallel prewarm's worker-side simulations and
-    disk-cache hits do not re-simulate here, so a warm session reports
-    fewer in-process runs than a cold one — ``suite_wall_seconds`` is the
-    cold tiny-suite wall-clock only for a serial, cache-less session).
-    """
-    if not _COLLECTED_BENCH_ITEMS or SIM_TALLY.runs == 0:
-        return  # collection-only / non-bench invocation: nothing to record
-    path = _bench_json_path()
-    record: dict = {}
-    if path.exists():
-        try:
-            record = json.loads(path.read_text())
-        except ValueError:
-            record = {}
-    tally = SIM_TALLY.snapshot()
-    record.update(
-        {
-            "scale": bench_scale_name(),
-            "jobs": resolve_jobs(None),
-            "suite_wall_seconds": round(time.perf_counter() - _SESSION_START, 3),
-            "simulations": tally["runs"],
-            "events": tally["events"],
-            "sim_wall_seconds": tally["wall_seconds"],
-            "events_per_second": tally["events_per_second"],
-        }
-    )
-    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

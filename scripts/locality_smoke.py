@@ -14,34 +14,26 @@ claim of the locality layer end-to-end:
 * the distance-weighted policy actually re-homes pages (its counters
   are live), and the run is not pathologically slower than baseline.
 
-It also measures cold events/sec over the whole smoke grid so the
-measurement can be recorded into ``BENCH_hotpath.json``'s ``history``
-series (the PR 3 protocol: one entry per PR and series; the recorded
-entry carries the per-cell mean-hop numbers as provenance for the
-ring/mesh gap claim).
+The printed record carries the per-cell mean-hop numbers, the evidence
+for the ring/mesh gap claim.
 
 Usage::
 
     PYTHONPATH=src python scripts/locality_smoke.py                # CI: ring@8
     PYTHONPATH=src python scripts/locality_smoke.py --kinds ring mesh2d \\
-        --sockets 8 16 --append-history "PR 5"     # the full 8-16 record
+        --sockets 8 16                             # the full 8-16 grid
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import time
-from pathlib import Path
 
 from repro.harness import experiments as E
 from repro.harness.parallel import ParallelRunner, resolve_jobs
 from repro.harness.runner import ExperimentContext
-from repro.sim.instrumentation import SIM_TALLY
 from repro.workloads.spec import SCALES
 from repro.workloads.suite import COMPACT_SET
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 #: The headline policy pairing the acceptance gate is about.
 SMOKE_POLICIES = (("distance_weighted_first_touch", "distance_affine"),)
@@ -63,7 +55,7 @@ def acm_filter_effect(ctx: "ExperimentContext", kind: str,
     remotely, so the filter delays rather than cancels migrations: the
     record asserts it never *adds* re-homings and keeps cycles within a
     tight band of the unfiltered policy, and the per-workload numbers
-    land in the BENCH series as the before/after evidence.
+    land in the printed record as the before/after evidence.
     """
     out = {}
     for workload in ACM_WORKLOADS:
@@ -101,7 +93,7 @@ def acm_filter_effect(ctx: "ExperimentContext", kind: str,
 
 def run_smoke(scale: str, jobs: int, kinds: tuple[str, ...],
               sockets: tuple[int, ...]) -> dict:
-    """Run the locality grid, verify the headline claim, report timing."""
+    """Run the locality grid and verify the headline claim."""
     ctx = ExperimentContext(scale=SCALES[scale])
 
     def driver(c):
@@ -113,19 +105,9 @@ def run_smoke(scale: str, jobs: int, kinds: tuple[str, ...],
             policies=SMOKE_POLICIES,
         )
 
-    SIM_TALLY.reset()
-    t0 = time.perf_counter()
     if jobs > 1:
-        # Fan out cold; events/sec is then reported from the suite wall
-        # (workers' engine-drain tallies live in their own processes).
         ParallelRunner(ctx, jobs=jobs).prewarm_experiments([driver])
-        result = driver(ctx)  # warm cache
-        wall = time.perf_counter() - t0
-        events = 0
-    else:
-        result = driver(ctx)
-        wall = time.perf_counter() - t0
-        events = SIM_TALLY.snapshot()["events"]
+    result = driver(ctx)
 
     cells = {}
     for cell in result.cells:
@@ -173,34 +155,7 @@ def run_smoke(scale: str, jobs: int, kinds: tuple[str, ...],
         "simulations": ctx.cached_runs,
         "cells": cells,
         "acm_read_shared_filter": acm,
-        "events": events,
-        "wall_seconds": round(wall, 3),
-        "events_per_second": round(events / wall, 1) if events and wall else 0.0,
     }
-
-
-def append_history(record: dict, label: str) -> None:
-    """Append the smoke measurement to BENCH_hotpath.json's history."""
-    bench = {}
-    if BENCH_PATH.exists():
-        try:
-            bench = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            bench = {}
-    history = bench.setdefault("history", [])
-    history.append(
-        {
-            "label": label,
-            "source": "locality-smoke (cold, serial)",
-            "scale": record["scale"],
-            "events": record["events"],
-            "events_per_second": record["events_per_second"],
-            "locality_cells": record["cells"],
-            "acm_read_shared_filter": record["acm_read_shared_filter"],
-            "recorded_at": time.strftime("%Y-%m-%d"),
-        }
-    )
-    BENCH_PATH.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -221,12 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs", "-j", type=int, default=None, metavar="N",
         help="worker processes (default: $REPRO_JOBS or 1; 0 = one per "
-        "CPU); events/sec is only measured on serial runs",
-    )
-    parser.add_argument(
-        "--append-history", metavar="LABEL", default=None,
-        help="append this measurement to BENCH_hotpath.json's history "
-        "(requires a serial run so engine tallies are measured)",
+        "CPU)",
     )
     args = parser.parse_args(argv)
     jobs = resolve_jobs(args.jobs)
@@ -234,11 +184,6 @@ def main(argv: list[str] | None = None) -> int:
         args.scale, jobs, tuple(args.kinds), tuple(args.sockets)
     )
     print(f"locality smoke: {json.dumps(record)}")
-    if args.append_history:
-        if not record["events"]:
-            parser.error("--append-history needs a serial run (--jobs 1)")
-        append_history(record, args.append_history)
-        print(f"history += {args.append_history!r} -> {BENCH_PATH.name}")
     print(
         f"OK: {len(record['cells'])} locality cells verified on "
         f"{'+'.join(args.kinds)} at {args.scale} scale "

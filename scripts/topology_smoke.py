@@ -10,36 +10,25 @@ cross-section (``repro.workloads.suite.COMPACT_SET``) on the ``ring``,
   spec edge,
 * hop histograms are populated and respect each topology's diameter,
 * routed byte conservation: fabric bytes x mean hops equals the sum of
-  per-edge bytes,
-
-— and measures cold events/sec over the whole smoke grid so the
-measurement can be recorded into ``BENCH_hotpath.json``'s ``history``
-series (the PR 3 protocol: one probe entry + one cold-suite entry per
-PR; see ``scripts/perf_smoke.py`` for the probe).
+  per-edge bytes.
 
 Usage::
 
     PYTHONPATH=src python scripts/topology_smoke.py                # assert
     PYTHONPATH=src python scripts/topology_smoke.py --scale tiny
     PYTHONPATH=src python scripts/topology_smoke.py --jobs 4
-    PYTHONPATH=src python scripts/topology_smoke.py --append-history "PR 4"
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import time
-from pathlib import Path
 
 from repro.harness.parallel import ParallelRunner, RunTask, resolve_jobs
 from repro.harness.runner import ExperimentContext
-from repro.sim.instrumentation import SIM_TALLY
 from repro.topology.routing import compute_routes
 from repro.workloads.spec import SCALES
 from repro.workloads.suite import COMPACT_SET
-
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 #: The smoke grid: every multi-hop shape the subsystem introduces —
 #: ring, 2-D mesh, and chiplet tree — at the socket counts CI can
@@ -51,7 +40,7 @@ SMOKE_SOCKETS = (2, 4)
 
 
 def run_smoke(scale: str, jobs: int) -> dict:
-    """Run the grid (optionally fanned out), verify it, report timing."""
+    """Run the grid (optionally fanned out) and verify it."""
     ctx = ExperimentContext(scale=SCALES[scale])
     configs = [
         ctx.config_topology(kind, n_sockets=k)
@@ -63,19 +52,8 @@ def run_smoke(scale: str, jobs: int) -> dict:
         for config in configs
         for name in COMPACT_SET
     ]
-    SIM_TALLY.reset()
-    t0 = time.perf_counter()
     if jobs > 1:
-        # Fan out cold; events/sec is then reported from the suite wall
-        # (workers' engine-drain tallies live in their own processes).
         ParallelRunner(ctx, jobs=jobs).prewarm(tasks)
-        wall = time.perf_counter() - t0
-        events = 0
-    else:
-        for task in tasks:
-            ctx.run(task.workload, task.config)
-        wall = time.perf_counter() - t0
-        events = SIM_TALLY.snapshot()["events"]
 
     checked = 0
     for config in configs:
@@ -84,7 +62,7 @@ def run_smoke(scale: str, jobs: int) -> dict:
         diameter = routes.diameter(spec.n_sockets)
         edge_names = {edge.name for edge in spec.edges}
         for name in COMPACT_SET:
-            result = ctx.run(name, config)  # warm cache
+            result = ctx.run(name, config)
             assert result.edges, (
                 f"{name}/{spec.name}: multi-hop run exported no edge stats"
             )
@@ -121,32 +99,7 @@ def run_smoke(scale: str, jobs: int) -> dict:
         "jobs": jobs,
         "simulations": len(tasks),
         "checked": checked,
-        "events": events,
-        "wall_seconds": round(wall, 3),
-        "events_per_second": round(events / wall, 1) if events and wall else 0.0,
     }
-
-
-def append_history(record: dict, label: str) -> None:
-    """Append the smoke measurement to BENCH_hotpath.json's history."""
-    bench = {}
-    if BENCH_PATH.exists():
-        try:
-            bench = json.loads(BENCH_PATH.read_text())
-        except ValueError:
-            bench = {}
-    history = bench.setdefault("history", [])
-    history.append(
-        {
-            "label": label,
-            "source": "topology-smoke (cold, serial)",
-            "scale": record["scale"],
-            "events": record["events"],
-            "events_per_second": record["events_per_second"],
-            "recorded_at": time.strftime("%Y-%m-%d"),
-        }
-    )
-    BENCH_PATH.write_text(json.dumps(bench, indent=1, sort_keys=True) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -158,22 +111,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--jobs", "-j", type=int, default=None, metavar="N",
         help="worker processes (default: $REPRO_JOBS or 1; 0 = one per "
-        "CPU); events/sec is only measured on serial runs",
-    )
-    parser.add_argument(
-        "--append-history", metavar="LABEL", default=None,
-        help="append this measurement to BENCH_hotpath.json's history "
-        "(requires a serial run so engine tallies are measured)",
+        "CPU)",
     )
     args = parser.parse_args(argv)
     jobs = resolve_jobs(args.jobs)
     record = run_smoke(args.scale, jobs)
     print(f"topology smoke: {json.dumps(record)}")
-    if args.append_history:
-        if not record["events"]:
-            parser.error("--append-history needs a serial run (--jobs 1)")
-        append_history(record, args.append_history)
-        print(f"history += {args.append_history!r} -> {BENCH_PATH.name}")
     print(
         f"OK: {record['checked']} multi-hop runs verified on "
         f"{'+'.join(SMOKE_KINDS)} at {args.scale} scale"

@@ -66,6 +66,14 @@ EXPERIMENTS = {
 }
 
 
+def cycle_count(text: str) -> int:
+    """Argparse type for a sampling interval: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument grammar."""
     parser = argparse.ArgumentParser(
@@ -124,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--metrics-interval",
-        type=int,
+        type=cycle_count,
         default=0,
         metavar="CYCLES",
         help="with --trace: sample the stock metric gauges every N "
@@ -220,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_run.add_argument("--sockets", type=int, default=4)
     trace_run.add_argument(
         "--metrics-interval",
-        type=int,
+        type=cycle_count,
         default=1000,
         metavar="CYCLES",
         help="sample the stock metric gauges every N simulated cycles "
@@ -263,6 +271,9 @@ def cmd_list() -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
+    if args.metrics_interval and not args.trace:
+        print("error: --metrics-interval needs --trace", file=sys.stderr)
+        return 2
     if args.topology and args.sockets < 2:
         # Multi-node specs need at least two sockets; reject up front
         # with a clean message instead of surfacing the spec builder's

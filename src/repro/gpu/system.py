@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import time
 
-from repro.config import CacheArch, LinkPolicy, SystemConfig
+from repro.config import CacheArch, SystemConfig
 from repro.core.link_policy import build_balancers
 from repro.core.numa_cache import CachePartitionController
 from repro.gpu.socket import make_socket
@@ -149,7 +149,6 @@ class NumaGpuSystem:
         """Execute a kernel sequence to completion and collect results."""
         for controller in self.cache_controllers:
             controller.start()
-        dynamic_links = self.config.link_policy is LinkPolicy.DYNAMIC
         for balancer in self.balancers:
             balancer.start()
         self._launcher = Launcher(
@@ -171,9 +170,9 @@ class NumaGpuSystem:
         return collect_results(self, workload_name)
 
     def _drain(self) -> None:
-        """Drain the engine with GC paused and the events/sec tally fed."""
+        """Drain the engine with GC paused and the run tally fed."""
         events_before = self.engine.events_processed
-        # Wall-clock here only feeds the events/sec tally, never sim
+        # Wall-clock here only feeds the run tally, never sim
         # state: the engine drain between these two reads is clock-free.
         wall_start = time.perf_counter()  # repro-lint: disable=determinism
         # The drain allocates millions of short-lived tuples and no cycles;

@@ -1,10 +1,10 @@
-"""Process-wide simulation run tally (wall-clock + event throughput).
+"""Process-wide simulation run tally (events, cycles, drain wall-clock).
 
 :class:`NumaGpuSystem.run` records every completed simulation here:
 events executed, simulated cycles, and the wall-clock seconds the engine
-drain took. The benchmark suite reads the tally to emit machine-readable
-perf numbers (``BENCH_hotpath.json``), and the CI perf smoke asserts the
-resulting events/sec stays above a recorded floor.
+drain took. Its readers: ``perfbench`` takes the events and drain
+seconds of each cell (``sim.events``, ``sim.drain_s``), and
+the harness (:mod:`repro.harness.parallel`) samples the per-task delta.
 
 The tally is deliberately trivial — module-level, no locks — because
 simulations are single-threaded within a process. Parallel harness
@@ -17,7 +17,7 @@ suite's tally reflects *all* processes, not just parent-side runs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -48,30 +48,6 @@ class RunTally:
         self.events += events
         self.cycles += cycles
         self.wall_seconds += wall_seconds
-
-    @property
-    def events_per_second(self) -> float:
-        """Aggregate engine throughput (0.0 before any run)."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.events / self.wall_seconds
-
-    def reset(self) -> None:
-        """Zero the tally (benchmark sessions scope their own window)."""
-        self.runs = 0
-        self.events = 0
-        self.cycles = 0
-        self.wall_seconds = 0.0
-
-    def snapshot(self) -> dict:
-        """Plain-dict view for JSON emission."""
-        return {
-            "runs": self.runs,
-            "events": self.events,
-            "cycles": self.cycles,
-            "wall_seconds": round(self.wall_seconds, 6),
-            "events_per_second": round(self.events_per_second, 1),
-        }
 
 
 #: The process-wide tally written by NumaGpuSystem.run.

@@ -84,6 +84,33 @@ def test_run_command_trace_flag(tmp_path, capsys):
     validate_chrome_trace(json.loads(out_file.read_text()))
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "Rodinia-BFS", "--trace", "t.json", "--metrics-interval", "-5"],
+    ["trace", "run", "Rodinia-BFS", "t.json", "--metrics-interval", "-5"],
+])
+def test_negative_metrics_interval_is_a_usage_error(argv, tmp_path,
+                                                    monkeypatch, capsys):
+    # A negative interval used to turn the sampler off silently.
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "--metrics-interval" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("interval", ["1", "100"])
+def test_run_metrics_interval_needs_trace(interval, capsys):
+    # Without --trace there is no sampler to configure, so the option
+    # is a mistake, not a no-op.
+    code = main(["run", "Rodinia-BFS", "--scale", "tiny",
+                 "--metrics-interval", interval])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "error: --metrics-interval needs --trace" in err
+    assert "cycles" not in out
+
+
 def test_trace_study_command(tmp_path, capsys):
     import json
 
