@@ -22,13 +22,11 @@ computed once per kernel, not once per CTA.
 A single entry only hits when runs of one workload are consecutive.
 Sweep drivers request cells config-major, so the supervised harness
 (:mod:`repro.harness.supervisor`) dispatches them workload-major: each
-executing process builds a workload's trace once per sweep. Since the
-memo then hits, a run allocates too little to trigger the full
-collections that used to free dead systems (cyclic garbage), so the
-harness releases each run's heap itself
-(:func:`repro.harness.parallel._execute_measured`), and
-:func:`repro.workloads.trace.record_trace` does so for trace-driven
-callers at each recording.
+executing process builds a workload's trace once per sweep. A finished
+system frees itself by reference counting the moment its last reference
+goes (:meth:`repro.gpu.system.NumaGpuSystem.__del__`, DESIGN.md "Heap
+release"), so neither the harness nor a trace-driven caller needs a
+collection to drop the systems that replayed a trace.
 """
 
 from __future__ import annotations

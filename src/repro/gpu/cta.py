@@ -116,6 +116,9 @@ class CtaExecution:
         self._slice_idx += 1
         if self._slice_idx >= len(self._slices):
             self._done = True
+            # No compute event is pending once the last slice is done;
+            # dropping the prebound method makes a finished CTA acyclic.
+            self._compute_cb = None
             self.on_complete(self)
             return
         current = self._slices[self._slice_idx]

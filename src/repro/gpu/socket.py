@@ -51,7 +51,7 @@ from repro.memory.dram import DramChannel
 from repro.memory.page_table import PageTable
 from repro.obs.hooks import NOOP, register
 from repro.sim.engine import RING_MASK, RING_SIZE, Engine
-from repro.sim.path import ReadPath, WritePath
+from repro.sim.path import ReadPath, WritePath, release_walkers
 from repro.sim.resource import BandwidthResource
 from repro.sim.stats import StatGroup, flatten_slots
 
@@ -272,6 +272,19 @@ class GpuSocket:
             )
         return SetAssocCache(name, gpu.l2)
 
+    def release(self) -> None:
+        """Break the socket's inherent reference cycles (system teardown).
+
+        Empties the walker pools and unlinks the recency lists of the L1s
+        and the L2. The owning system calls this as it dies; the socket
+        must not simulate afterwards.
+        """
+        release_walkers(self._read_pool)
+        release_walkers(self._write_pool)
+        for cache in self._l1s:
+            cache.release()
+        self.l2.release()
+
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
@@ -331,7 +344,11 @@ class GpuSocket:
             and self._subkernel_done_cb is not None
         ):
             self._subkernel_notified = True
-            self._subkernel_done_cb(self.socket_id)
+            # Dropped once fired: the launcher that owns the callback
+            # also holds this socket, so keeping it would be a cycle.
+            done = self._subkernel_done_cb
+            self._subkernel_done_cb = None
+            done(self.socket_id)
 
     # ------------------------------------------------------------------
     # memory access entry point (MemoryPort protocol)

@@ -123,6 +123,23 @@ class NumaGpuSystem:
             _wire_default_metrics(self.metrics, self)
         self._launcher: Launcher | None = None
 
+    def __del__(self) -> None:
+        """Break the cycles a system cannot avoid, so it frees by refcount.
+
+        Sockets and fabric point at each other, walkers and cache recency
+        lists are cycles by construction, and a dynamic placement policy
+        points back at its page table (DESIGN.md, "Heap release"). They
+        are cut only here, once nothing can inspect the system any more.
+        """
+        sockets = getattr(self, "sockets", None)
+        if sockets is None:  # __init__ failed before the sockets existed
+            return
+        for socket in sockets:
+            socket.release()
+        if self.switch is not None:
+            self.switch.owners = None
+        self.page_table.policy.detach()
+
     # ------------------------------------------------------------------
     # observability (DESIGN.md, "Observability contract")
     # ------------------------------------------------------------------

@@ -96,17 +96,16 @@ def _execute_task(task: RunTask, scale: WorkloadScale) -> RunResult:
 
 
 @contextmanager
-def _released_heap():
-    """Free everything the enclosed task left as cyclic garbage on exit.
+def _frozen_heap():
+    """Keep the pre-task heap out of the collections the task triggers.
 
-    A finished :class:`~repro.gpu.system.NumaGpuSystem` is a large web of
-    reference cycles (prebound engine stages, walkers, sockets), so only
-    the cyclic collector can free it. Once the trace memo hits, a task
-    allocates little outside the GC-paused engine drain, and dead systems
-    would pile up waiting for a rare full collection. The pre-task heap
-    (the memoized trace above all) is frozen for the task, so the closing
-    collection walks only objects the task created; a caller that froze
-    objects of its own is left alone and gets a plain full collection.
+    The pre-task heap (the memoized trace above all, ~10^5 long-lived
+    objects) is frozen while the task runs, so a collection the task's
+    allocations trigger, a full one included, walks only what the task
+    created; thawing returns it to the oldest generation. Nothing is
+    collected here: a finished system frees itself by reference
+    counting (DESIGN.md, "Heap release"). A caller that froze objects
+    of its own is left alone.
     """
     freeze = gc.get_freeze_count() == 0
     if freeze:
@@ -114,13 +113,8 @@ def _released_heap():
     try:
         yield
     finally:
-        try:
-            gc.collect()
-        finally:
-            # Even a timeout signal landing mid-collection must thaw the
-            # heap, or it would stay invisible to the collector for good.
-            if freeze:
-                gc.unfreeze()
+        if freeze:
+            gc.unfreeze()
 
 
 def _execute_measured(
@@ -135,13 +129,14 @@ def _execute_measured(
     result pipe so the parent can absorb worker-side run totals and
     build the study's worker-utilization timeline (see
     :mod:`repro.harness.supervisor` and DESIGN.md, "Observability
-    contract"). The span includes releasing the task's heap
-    (:func:`_released_heap`), so no dead system outlives its task.
+    contract"). The task runs inside :func:`_frozen_heap`, and its
+    system frees itself as the task returns, so no dead system
+    outlives its task.
     """
     before = (SIM_TALLY.runs, SIM_TALLY.events, SIM_TALLY.cycles,
               SIM_TALLY.wall_seconds)
     t_start = time.monotonic()
-    with _released_heap():
+    with _frozen_heap():
         result = _execute_task(task, scale)
     t_end = time.monotonic()
     sample = {

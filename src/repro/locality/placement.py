@@ -114,6 +114,9 @@ class PagePolicy:
     ) -> None:
         """Wire the runtime collaborators (no-op for static policies)."""
 
+    def detach(self) -> None:
+        """Drop the page table :meth:`attach` wired (system teardown)."""
+
 
 class FineInterleavePolicy(PagePolicy):
     """Sub-page interleaving across sockets (traditional UMA layout)."""
@@ -191,6 +194,10 @@ class DynamicPagePolicy(PagePolicy):
         self._engine = engine
         self.distance = distance
         self._page_table = page_table
+
+    def detach(self) -> None:
+        # The page table holds this policy, so keeping it is a cycle.
+        self._page_table = None
 
     # ------------------------------------------------------------------
     # protocol entry points

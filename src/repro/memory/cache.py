@@ -508,6 +508,21 @@ class SetAssocCache:
             way.sent = sent
         return cache_set
 
+    def release(self) -> None:
+        """Unlink every recency list, the cache's only reference cycles.
+
+        Teardown only: the owning system calls this as it dies (DESIGN.md,
+        "Heap release"), so reference counting can free the frames. The
+        cache must not be used afterwards.
+        """
+        for sent in self._lru:
+            if sent is not None:
+                sent.prev = sent.nxt = None
+        for cache_set in self._sets:
+            if cache_set is not None:
+                for way in cache_set:
+                    way.prev = way.nxt = None
+
     def _touch(self, way: _Way) -> None:
         """Move a valid frame to the MRU end of its set's recency list."""
         sent = way.sent

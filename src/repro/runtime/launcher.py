@@ -86,8 +86,13 @@ class Launcher:
         self._kernel_idx += 1
         if self._kernel_idx >= len(self.kernels):
             self._finished = True
-            if self.on_workload_done is not None:
-                self.on_workload_done()
+            # The callbacks are usually bound methods of the system that
+            # owns this launcher; dropping them here keeps a finished
+            # system out of a reference cycle (DESIGN.md, "Heap release").
+            done = self.on_workload_done
+            self.on_kernel_launch = self.on_workload_done = None
+            if done is not None:
+                done()
             return
         kernel = self.kernels[self._kernel_idx]
         self.stats.add("kernels_launched")

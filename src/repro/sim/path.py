@@ -161,6 +161,9 @@ class ReadPath:
         "st_complete",
     )
 
+    #: the prebound-stage slots (see :func:`release_walkers`).
+    STAGES = tuple(n for n in __slots__ if n.startswith("st_"))
+
     def __init__(self, socket, pool: list) -> None:
         self.pool = pool
         self.socket = socket
@@ -517,6 +520,9 @@ class WritePath:
         "st_absorb",
     )
 
+    #: the prebound-stage slots (see :func:`release_walkers`).
+    STAGES = tuple(n for n in __slots__ if n.startswith("st_"))
+
     def __init__(self, socket, pool: list) -> None:
         self.pool = pool
         self.socket = socket
@@ -713,3 +719,18 @@ class WritePath:
         else:
             self.ovf(arrival, on_done)
         engine._pending += 1
+
+
+def release_walkers(pool: list) -> None:
+    """Empty a walker pool, breaking each pooled walker's self-cycle.
+
+    A walker's prebound stages are bound methods of the walker itself,
+    so every walker is a reference cycle, and the pool it points back
+    to keeps it reachable from its socket. The owning system calls this
+    as it dies (:meth:`repro.gpu.system.NumaGpuSystem.__del__`), so that
+    reference counting frees the walkers with the rest of the system.
+    """
+    for walker in pool:
+        for name in walker.STAGES:
+            setattr(walker, name, None)
+    pool.clear()

@@ -86,16 +86,10 @@ def _replayer(kernel: KernelTrace):
 def record_trace(workload: WorkloadSpec, scale: WorkloadScale) -> WorkloadTrace:
     """Materialize every CTA of every kernel of ``workload`` at ``scale``.
 
-    Recording is a heap boundary (DESIGN.md, "Heap release"): it first
-    collects the young generations, then builds the trace with the
-    collector paused.
+    The trace is built with the collector paused (DESIGN.md, "Heap
+    release"). A system that replayed an earlier trace frees itself by
+    reference counting as it dies, so recording needs no collection.
     """
-    # A trace-driven caller records the next workload once it is done
-    # with the last: the systems that replayed the last trace are cyclic
-    # garbage that still holds it. With recording and drains run paused,
-    # they are still young, so a generation-1 collection frees them
-    # without walking the long-lived heap.
-    gc.collect(1)
     # Materialization allocates ~10^5 long-lived objects and no cycles, so
     # generational collections during it are pure overhead, as in the
     # engine drain (NumaGpuSystem._drain), which pauses the same way.

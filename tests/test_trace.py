@@ -131,22 +131,35 @@ def test_loaded_trace_equals_recorded_and_shares_ops(tmp_path):
     _assert_ops_shared(loaded)
 
 
-def test_record_trace_frees_systems_that_replayed_the_last_trace():
+def test_a_replayed_system_frees_itself_without_a_collection():
     wl = micro()
     trace = record_trace(wl, TINY)
-    # Start from empty generations so the system below is not promoted
-    # past generation 1 by collections that earlier allocations (other
-    # tests included) left due.
-    gc.collect()
-    system = NumaGpuSystem(scaled_config(n_sockets=2, sms_per_socket=2))
-    system.run(trace.build_kernels(), wl.name)
-    gc.collect(0)  # the live system moves on to generation 1
-    dead = weakref.ref(system)
-    del system, trace
-    assert dead() is not None  # cyclic garbage: refcounts cannot free it
-    record_trace(wl, TINY)
-    assert dead() is None
-    assert gc.isenabled()
+    gc.disable()
+    try:
+        system = NumaGpuSystem(scaled_config(n_sockets=2, sms_per_socket=2))
+        system.run(trace.build_kernels(), wl.name)
+        dead = weakref.ref(system)
+        del system
+        assert dead() is None  # freed by reference counting alone
+    finally:
+        gc.enable()
+
+
+def test_record_trace_runs_no_collection():
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.disable()
+    gc.callbacks.append(count)
+    try:
+        record_trace(micro(), TINY)
+    finally:
+        gc.callbacks.remove(count)
+        gc.enable()
+    assert collections == []
 
 
 def test_record_trace_keeps_a_callers_paused_collector():
