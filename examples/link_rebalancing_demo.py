@@ -60,8 +60,8 @@ def main() -> None:
     dynamic_cfg = replace(static_cfg, link_policy=LinkPolicy.DYNAMIC)
     system = build_system(dynamic_cfg)
     dynamic = system.run(workload.build_kernels(scale), workload.name)
-    assert system.switch is not None
-    for link in system.switch.balancer_links:
+    assert system.fabric is not None
+    for link in system.fabric.balancer_links:
         print(
             f"socket {link.socket_id}: {link.stats['lane_turns']:>3} lane "
             f"turns, final lanes egress={link.lanes(Direction.EGRESS)} "

@@ -6,27 +6,18 @@ CI run. Rules (see DESIGN.md "Static contracts" for the catalogue):
 
 * ``determinism`` — unseeded/global RNGs, wall-clock reads in sim-state
   modules, builtin ``hash()``, unordered ``set`` iteration;
-* ``fingerprint-complete`` — every ``SystemConfig``-reachable dataclass
-  field participates in ``config_fingerprint``;
 * ``hot-path-alloc`` / ``hot-path-attr`` — allocation and attribute
   discipline inside the declared hot functions;
 * ``obs-hook-discipline`` — observability hooks in hot functions use
   the prebound module-level NOOP callable pattern (no attribute-chain
-  lookups or tracer conditionals on the disabled path);
-* ``export-roundtrip`` — ``RunResult`` fields survive the JSON
-  round-trip in ``metrics/export.py`` (or are explicitly omitted);
-* ``registry-hygiene`` — registered policies have docstrings and a test
-  referencing their kind string.
+  lookups or tracer conditionals on the disabled path).
 """
 
 from __future__ import annotations
 
 from repro.analysis.checkers.determinism import DeterminismChecker
-from repro.analysis.checkers.export_roundtrip import ExportRoundTripChecker
-from repro.analysis.checkers.fingerprint import FingerprintChecker
 from repro.analysis.checkers.hotpath import HotPathChecker
 from repro.analysis.checkers.obs_hooks import ObsHookDisciplineChecker
-from repro.analysis.checkers.registry_hygiene import RegistryHygieneChecker
 from repro.analysis.core import LintChecker
 
 
@@ -38,11 +29,8 @@ def default_checkers(rules: tuple[str, ...] | None = None) -> list[LintChecker]:
     """
     checkers: list[LintChecker] = [
         DeterminismChecker(),
-        FingerprintChecker(),
         HotPathChecker(),
         ObsHookDisciplineChecker(),
-        ExportRoundTripChecker(),
-        RegistryHygieneChecker(),
     ]
     if rules is None:
         return checkers
@@ -61,11 +49,8 @@ def all_rules() -> list[tuple[str, str]]:
 
 __all__ = [
     "DeterminismChecker",
-    "ExportRoundTripChecker",
-    "FingerprintChecker",
     "HotPathChecker",
     "ObsHookDisciplineChecker",
-    "RegistryHygieneChecker",
     "all_rules",
     "default_checkers",
 ]

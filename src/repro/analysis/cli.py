@@ -67,11 +67,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--root", default=None, metavar="DIR",
         help="project root for relative paths/baseline (default: cwd)",
     )
-    parser.add_argument(
-        "--tests-dir", default=None, metavar="DIR",
-        help="tests directory for registry-hygiene references "
-        "(default: <root>/tests)",
-    )
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -100,11 +95,7 @@ def run_lint(args: argparse.Namespace) -> int:
               f"{', '.join(str(p) for p in args.paths)}")
         return 2
 
-    tests_dir = Path(args.tests_dir).resolve() if args.tests_dir else None
-    checkers = default_checkers(rules)
-    findings, _project = analyze(
-        paths, checkers, root=root, tests_dir=tests_dir
-    )
+    findings = analyze(paths, default_checkers(rules), root=root)
 
     if args.baseline:
         baseline_path = Path(args.baseline)

@@ -1,16 +1,10 @@
 """Checker framework: findings, suppressions, and the shared AST walk.
 
 Every file is parsed exactly once; a single recursive walker maintains
-the lexical context (enclosing class/function chain, loop depth) and
-dispatches each node to every registered checker. Checkers come in two
-flavours, both subclasses of :class:`LintChecker`:
-
-* **per-node** — implement :meth:`LintChecker.on_node` (and optionally
-  ``begin_file``/``end_file``) to flag patterns inside one file;
-* **project-level** — implement :meth:`LintChecker.finalize`, which runs
-  after every file is parsed and may correlate across modules (the
-  fingerprint-completeness, export-round-trip, and registry-hygiene
-  checkers all need two or more files).
+the lexical scope chain (enclosing class/function names) and dispatches
+each node to every registered checker. A checker is a subclass of
+:class:`LintChecker` that implements :meth:`LintChecker.on_node` (and
+optionally ``begin_file``) to flag patterns inside one file.
 
 Suppression grammar
 -------------------
@@ -92,16 +86,12 @@ def parse_suppressions(source: str) -> dict[int, frozenset[str]]:
 class FileContext:
     """Everything a per-node checker can see while one file is walked."""
 
-    path: Path
     relpath: str
     source: str
-    tree: ast.Module
     suppressions: dict[int, frozenset[str]]
     findings: list[Finding] = field(default_factory=list)
     #: lexical scope chain, e.g. ["GpuSocket", "access_burst"].
     scope: list[str] = field(default_factory=list)
-    #: stack of enclosing ``for``/``while`` nodes (innermost last).
-    loops: list[ast.AST] = field(default_factory=list)
 
     @property
     def symbol(self) -> str:
@@ -122,65 +112,6 @@ class FileContext:
             message=message,
             symbol=symbol if symbol is not None else self.symbol,
         ))
-
-
-@dataclass
-class Project:
-    """All parsed files of one lint invocation plus repo-level context."""
-
-    #: repository root (baseline + cross-file checkers resolve against it).
-    root: Path
-    #: directory scanned for test references (registry hygiene); usually
-    #: ``root / "tests"``, overridable for fixture projects.
-    tests_dir: Path | None = None
-    files: dict[str, FileContext] = field(default_factory=dict)
-
-    def find_module(self, *, suffix: str | None = None,
-                    defines: tuple[str, ...] = ()) -> FileContext | None:
-        """Locate one module by path suffix and/or top-level names.
-
-        ``defines`` are names that must all appear as module-level
-        function/class defs or assignments. Matching by content (not just
-        path) keeps the project-level checkers testable against fixture
-        trees that mirror the real layout loosely.
-        """
-        candidates = []
-        for relpath, ctx in sorted(self.files.items()):
-            if suffix is not None and not relpath.endswith(suffix):
-                continue
-            if defines and not _defines_all(ctx.tree, defines):
-                continue
-            candidates.append(ctx)
-        if candidates:
-            return candidates[0]
-        if suffix is not None and defines:
-            # Fall back to content-only matching (fixture trees).
-            return self.find_module(defines=defines)
-        return None
-
-    def test_sources(self) -> list[tuple[Path, str]]:
-        """Raw text of every test file (registry-hygiene references)."""
-        tests = self.tests_dir
-        if tests is None or not tests.is_dir():
-            return []
-        return [
-            (path, path.read_text(errors="replace"))
-            for path in sorted(tests.rglob("test_*.py"))
-        ]
-
-
-def _defines_all(tree: ast.Module, names: tuple[str, ...]) -> bool:
-    defined: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    defined.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            defined.add(node.target.id)
-    return all(name in defined for name in names)
 
 
 class LintChecker:
@@ -205,31 +136,18 @@ class LintChecker:
     def on_node(self, node: ast.AST, ctx: FileContext) -> None:
         """Hook for every AST node of every file (pre-order)."""
 
-    def end_file(self, ctx: FileContext) -> None:
-        """Hook after a file's walk completes."""
-
-    def finalize(self, project: Project) -> list[Finding]:
-        """Hook after all files are parsed (cross-file checkers)."""
-        return []
-
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-_LOOP_NODES = (ast.For, ast.While)
 
 
 def _walk(node: ast.AST, ctx: FileContext, checkers: list[LintChecker]) -> None:
     for checker in checkers:
         checker.on_node(node, ctx)
     is_scope = isinstance(node, _SCOPE_NODES)
-    is_loop = isinstance(node, _LOOP_NODES)
     if is_scope:
         ctx.scope.append(node.name)
-    if is_loop:
-        ctx.loops.append(node)
     for child in ast.iter_child_nodes(node):
         _walk(child, ctx, checkers)
-    if is_loop:
-        ctx.loops.pop()
     if is_scope:
         ctx.scope.pop()
 
@@ -251,17 +169,13 @@ def analyze(
     paths: list[Path],
     checkers: list[LintChecker],
     root: Path | None = None,
-    tests_dir: Path | None = None,
-) -> tuple[list[Finding], Project]:
-    """Lint ``paths`` with ``checkers``; returns (findings, project).
+) -> list[Finding]:
+    """Lint ``paths`` with ``checkers``; returns the sorted findings.
 
     Files that fail to parse produce a single ``syntax-error`` finding
     rather than aborting the run (CI should report every broken file).
     """
     root = (root or Path.cwd()).resolve()
-    if tests_dir is None and (root / "tests").is_dir():
-        tests_dir = root / "tests"
-    project = Project(root=root, tests_dir=tests_dir)
     findings: list[Finding] = []
     for path in iter_python_files(paths):
         try:
@@ -280,20 +194,13 @@ def analyze(
             ))
             continue
         ctx = FileContext(
-            path=path,
             relpath=relpath,
             source=source,
-            tree=tree,
             suppressions=parse_suppressions(source),
         )
-        project.files[relpath] = ctx
         for checker in checkers:
             checker.begin_file(ctx)
         _walk(tree, ctx, checkers)
-        for checker in checkers:
-            checker.end_file(ctx)
         findings.extend(ctx.findings)
-    for checker in checkers:
-        findings.extend(checker.finalize(project))
     findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
-    return findings, project
+    return findings

@@ -98,7 +98,7 @@ class GpuSocket:
         "config",
         "engine",
         "page_table",
-        "switch",
+        "fabric",
         "line_size",
         "arch",
         "write_policy",
@@ -170,7 +170,7 @@ class GpuSocket:
         config: SystemConfig,
         engine: Engine,
         page_table: PageTable,
-        switch,
+        fabric,
     ) -> None:
         self.socket_id = socket_id
         self.config = config
@@ -178,7 +178,7 @@ class GpuSocket:
         self.page_table = page_table
         #: the system fabric (a MultiHopFabric; the crossbar star by
         #: default), or None on a single-socket system.
-        self.switch = switch
+        self.fabric = fabric
         gpu = config.gpu
         self.line_size = gpu.l2.line_size
         self.arch = config.cache_arch
@@ -678,14 +678,14 @@ class GpuSocket:
         # Remote dirty victim: write back across the link to its home.
         line = packed >> 1
         home = self._line_home(line)
-        if home == self.socket_id or self.switch is None:
+        if home == self.socket_id or self.fabric is None:
             self.dram.access(self.engine.now, self.line_size, write=True)
             return
         self.n_remote_writebacks += 1
-        arrival = self.switch.send_bytes(
+        arrival = self.fabric.send_bytes(
             self.engine.now, self.socket_id, home, DATA_BYTES
         )
-        home_socket = self.switch.owners[home]
+        home_socket = self.fabric.owners[home]
         self.engine.schedule_at(arrival, home_socket._absorb_writeback, line)
 
     def _line_home(self, line: int) -> int:
@@ -728,17 +728,17 @@ class GpuSocket:
         now = self.engine.now
         for _ in range(result.local_dirty_lines):
             self.dram.access(now, self.line_size, write=True)
-        if result.remote_lines and self.switch is not None:
+        if result.remote_lines and self.fabric is not None:
             self.n_flush_remote_writebacks += len(result.remote_lines)
             for line in result.remote_lines:
                 home = self._line_home(line)
                 if home == self.socket_id:
                     self.dram.access(now, self.line_size, write=True)
                     continue
-                arrival = self.switch.send_bytes(
+                arrival = self.fabric.send_bytes(
                     now, self.socket_id, home, DATA_BYTES
                 )
-                home_socket = self.switch.owners[home]
+                home_socket = self.fabric.owners[home]
                 self.engine.schedule_at(arrival, home_socket._absorb_writeback_dram)
         return result
 
@@ -957,7 +957,7 @@ def make_socket(
     config: SystemConfig,
     engine: Engine,
     page_table: PageTable,
-    switch,
+    fabric,
 ) -> GpuSocket:
     """Build the right burst variant for the system shape.
 
@@ -970,5 +970,5 @@ def make_socket(
         config.n_sockets == 1
         and not page_table.policy.bills_single_socket_touch
     ):
-        return LocalGpuSocket(socket_id, config, engine, page_table, switch)
-    return GpuSocket(socket_id, config, engine, page_table, switch)
+        return LocalGpuSocket(socket_id, config, engine, page_table, fabric)
+    return GpuSocket(socket_id, config, engine, page_table, fabric)

@@ -40,9 +40,9 @@ def _wire_default_metrics(registry: MetricRegistry, system: "NumaGpuSystem") -> 
         sid = socket.socket_id
         registry.gauge(f"socket{sid}.l2_misses", lambda s=socket: s.n_l2_misses)
         registry.gauge(f"socket{sid}.dram_bytes", lambda s=socket: s.dram.n_bytes)
-    if system.switch is not None:
-        registry.gauge("fabric.bytes", lambda f=system.switch: f.n_bytes)
-        registry.gauge("fabric.packets", lambda f=system.switch: f.n_packets)
+    if system.fabric is not None:
+        registry.gauge("fabric.bytes", lambda f=system.fabric: f.n_bytes)
+        registry.gauge("fabric.packets", lambda f=system.fabric: f.n_packets)
     registry.counter("migrations", lambda pt=system.page_table: pt.migrations)
     registry.counter(
         "re_homed_pages", lambda pt=system.page_table: pt.re_homed_pages
@@ -76,43 +76,42 @@ class NumaGpuSystem:
         # The fabric-or-none decision lives in one documented helper
         # (`repro.topology.fabric.build_fabric`): None for one socket,
         # a MultiHopFabric (the crossbar star by default) otherwise.
-        # ``switch`` keeps its historic name.
-        self.switch = build_fabric(config, self.engine)
+        self.fabric = build_fabric(config, self.engine)
         self.sockets = [
-            make_socket(s, config, self.engine, self.page_table, self.switch)
+            make_socket(s, config, self.engine, self.page_table, self.fabric)
             for s in range(config.n_sockets)
         ]
-        if self.switch is not None:
-            self.switch.owners = list(self.sockets)
+        if self.fabric is not None:
+            self.fabric.owners = list(self.sockets)
         # The locality layer: the fabric's distance model feeds both the
         # placement policy (hop-weighted homing / migration charges) and
         # the CTA-assignment policy (affinity-aware blocks). The default
         # policies ignore it entirely, so the wiring is behaviourally
         # inert on the paper's configuration (pinned by the goldens).
         self.distance_model = (
-            self.switch.distance_model()
-            if self.switch is not None
+            self.fabric.distance_model()
+            if self.fabric is not None
             else DistanceModel.identity(config.n_sockets)
         )
         self.page_table.attach_fabric(
-            self.switch, self.engine, self.distance_model
+            self.fabric, self.engine, self.distance_model
         )
         self.cta_policy = build_cta_policy(
             config, page_table=self.page_table, distance=self.distance_model
         )
         self.balancers = build_balancers(
             config,
-            self.switch,
+            self.fabric,
             self.engine,
             record_timelines=record_timelines,
             monitor_only=record_timelines,
         )
         self.cache_controllers: list[CachePartitionController] = []
-        if config.cache_arch is CacheArch.NUMA_AWARE and self.switch is not None:
+        if config.cache_arch is CacheArch.NUMA_AWARE and self.fabric is not None:
             self.cache_controllers = [
                 CachePartitionController(
                     socket,
-                    self.switch.monitor_port(socket.socket_id),
+                    self.fabric.monitor_port(socket.socket_id),
                     self.engine,
                     config.controllers,
                     record_timeline=record_timelines,
@@ -136,8 +135,8 @@ class NumaGpuSystem:
             return
         for socket in sockets:
             socket.release()
-        if self.switch is not None:
-            self.switch.owners = None
+        if self.fabric is not None:
+            self.fabric.owners = None
         self.page_table.policy.detach()
 
     # ------------------------------------------------------------------
@@ -228,11 +227,6 @@ class NumaGpuSystem:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def fabric(self):
-        """The interconnect fabric (alias of ``switch``; None = 1 socket)."""
-        return self.switch
-
     @property
     def launcher(self) -> Launcher | None:
         """The launcher of the current/most recent run."""

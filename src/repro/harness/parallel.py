@@ -37,10 +37,8 @@ Worker count resolution: an explicit ``jobs`` argument wins, then the
 
 from __future__ import annotations
 
-import gc
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -95,28 +93,6 @@ def _execute_task(task: RunTask, scale: WorkloadScale) -> RunResult:
     )
 
 
-@contextmanager
-def _frozen_heap():
-    """Keep the pre-task heap out of the collections the task triggers.
-
-    The pre-task heap (the memoized trace above all, ~10^5 long-lived
-    objects) is frozen while the task runs, so a collection the task's
-    allocations trigger, a full one included, walks only what the task
-    created; thawing returns it to the oldest generation. Nothing is
-    collected here: a finished system frees itself by reference
-    counting (DESIGN.md, "Heap release"). A caller that froze objects
-    of its own is left alone.
-    """
-    freeze = gc.get_freeze_count() == 0
-    if freeze:
-        gc.freeze()
-    try:
-        yield
-    finally:
-        if freeze:
-            gc.unfreeze()
-
-
 def _execute_measured(
     task: RunTask, scale: WorkloadScale,
 ) -> "tuple[RunResult, dict]":
@@ -129,15 +105,14 @@ def _execute_measured(
     result pipe so the parent can absorb worker-side run totals and
     build the study's worker-utilization timeline (see
     :mod:`repro.harness.supervisor` and DESIGN.md, "Observability
-    contract"). The task runs inside :func:`_frozen_heap`, and its
-    system frees itself as the task returns, so no dead system
+    contract"). The task's system frees itself by reference counting
+    as the task returns (DESIGN.md, "Heap release"), so no dead system
     outlives its task.
     """
     before = (SIM_TALLY.runs, SIM_TALLY.events, SIM_TALLY.cycles,
               SIM_TALLY.wall_seconds)
     t_start = time.monotonic()
-    with _frozen_heap():
-        result = _execute_task(task, scale)
+    result = _execute_task(task, scale)
     t_end = time.monotonic()
     sample = {
         "t_start": t_start,

@@ -675,7 +675,10 @@ def _run_pool(states: list[_TaskState], scale: WorkloadScale, jobs: int,
             if not policy.keep_going:
                 aborting = True
         else:
-            waiting.append(state)
+            # A retry goes ahead of every unstarted task, as in the
+            # serial path, so an exhausted budget aborts a fail-fast run
+            # as soon as its backoff allows, not after the whole grid.
+            waiting.insert(0, state)
 
     def respawn(worker: _WorkerHandle) -> _WorkerHandle:
         replacement = _WorkerHandle(mp_context, scale, worker.proc.name)

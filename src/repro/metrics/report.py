@@ -163,8 +163,8 @@ def collect_results(system: "NumaGpuSystem", workload_name: str) -> RunResult:
     """Flatten a finished system's component stats into a RunResult."""
     sockets = []
     for socket in system.sockets:
-        if system.switch is not None:
-            egress, ingress, turns = system.switch.socket_traffic(
+        if system.fabric is not None:
+            egress, ingress, turns = system.fabric.socket_traffic(
                 socket.socket_id
             )
         else:
@@ -198,7 +198,7 @@ def collect_results(system: "NumaGpuSystem", workload_name: str) -> RunResult:
         if controller.timeline is not None:
             partition_timelines[controller.timeline.name] = controller.timeline
     launcher = system.launcher
-    fabric = system.switch
+    fabric = system.fabric
     # The crossbar (topology.spec.is_crossbar) is the paper default: an
     # explicit crossbar spec is byte-identical to no topology at all
     # (goldens), so only routed fabrics annotate the config label and

@@ -46,7 +46,7 @@ replaced, which pins three rules:
 
 Multi-hop fabrics (DESIGN.md, "Topology layer")
 -----------------------------------------------
-``self.switch`` is the system *fabric*, a
+``self.fabric`` is the system's
 :class:`repro.topology.fabric.MultiHopFabric`: the paper's crossbar (a
 star around one router) by default, or the config's topology. A link
 crossing is one ``send_bytes`` call from a stage body: the fabric holds a
@@ -129,7 +129,7 @@ class ReadPath:
         "l2_get",
         "l2_fill",
         "dram",
-        "switch",
+        "fabric",
         "owners",
         "noc_latency",
         "hit_tail",
@@ -179,8 +179,8 @@ class ReadPath:
         self.l2_get = socket.l2._where.get
         self.l2_fill = socket.l2.fill_fast
         self.dram = socket.dram
-        self.switch = socket.switch
-        self.owners = socket.switch.owners if socket.switch is not None else None
+        self.fabric = socket.fabric
+        self.owners = socket.fabric.owners if socket.fabric is not None else None
         self.noc_latency = socket.noc_latency
         #: quoted pure-latency tail of an L2 hit (hit latency + NoC hop).
         self.hit_tail = socket._l2_hit_latency + socket.noc_latency
@@ -291,7 +291,7 @@ class ReadPath:
             return
         s.n_remote_read_requests += 1
         now = engine.now
-        arrival = self.switch.send_bytes(
+        arrival = self.fabric.send_bytes(
             now, self.socket_id, self.home_id, CONTROL_BYTES
         )
         self.home = self.owners[self.home_id]
@@ -414,7 +414,7 @@ class ReadPath:
         h = self.home
         engine = self.engine
         now = engine.now
-        arrival = h.switch.send_bytes(
+        arrival = h.fabric.send_bytes(
             now, h.socket_id, self.socket_id, DATA_BYTES
         )
         if arrival - now < RING_SIZE:
@@ -502,7 +502,7 @@ class WritePath:
         "l2_get",
         "l2_fill",
         "dram",
-        "switch",
+        "fabric",
         "owners",
         "l2_lat",
         "l2_write_through",
@@ -536,8 +536,8 @@ class WritePath:
         self.l2_get = socket.l2._where.get
         self.l2_fill = socket.l2.fill_fast
         self.dram = socket.dram
-        self.switch = socket.switch
-        self.owners = socket.switch.owners if socket.switch is not None else None
+        self.fabric = socket.fabric
+        self.owners = socket.fabric.owners if socket.fabric is not None else None
         self.l2_lat = socket._l2_hit_latency
         self.l2_write_through = socket._l2_write_through
         self.caches_remote_writes = socket._caches_remote_writes
@@ -652,7 +652,7 @@ class WritePath:
             self.l2.drop(line)
         s.n_remote_writes_forwarded += 1
         now = engine.now
-        arrival = self.switch.send_bytes(
+        arrival = self.fabric.send_bytes(
             now, self.socket_id, self.home_id, DATA_BYTES
         )
         self.home = self.owners[self.home_id]
@@ -700,7 +700,7 @@ class WritePath:
         now = engine.now
         if h._l2_write_through:
             h.dram.access(now, h.line_size, write=True)
-        arrival = h.switch.send_bytes(
+        arrival = h.fabric.send_bytes(
             now, h.socket_id, self.socket_id, CONTROL_BYTES
         )
         on_done = self.on_done

@@ -158,43 +158,131 @@ def test_configs_are_frozen():
 # content-addressed config identity
 # ---------------------------------------------------------------------------
 
-def _perturb(value):
-    """A different value of the same type, for field-sensitivity checks."""
-    import enum as _enum
+def _filled_config():
+    """``paper_config()`` with every optional subtree filled in.
 
-    if isinstance(value, bool):
-        return not value
-    if isinstance(value, int):
-        return value + 1
-    if isinstance(value, float):
-        return value * 2 + 1.0
-    if isinstance(value, str):
-        return value + "_x"
-    if isinstance(value, _enum.Enum):
-        members = list(type(value))
-        return members[(members.index(value) + 1) % len(members)]
-    return None  # nested dataclasses handled by recursion
+    A routed topology (routers, heterogeneous per-edge links) and
+    non-default locality specs, so the digest walk reaches every
+    dataclass that ``SystemConfig`` can hold.
+    """
+    from dataclasses import replace
+
+    from repro.locality.spec import CtaSpec, PlacementSpec
+    from repro.topology.spec import switch_tree
+
+    base = paper_config()
+    return replace(
+        base,
+        topology=switch_tree(base.n_sockets, link=base.link),
+        placement_spec=PlacementSpec(
+            kind="access_counter_migration",
+            touch_window=16,
+            migration_threshold=8,
+            max_migrations_per_page=3,
+            read_shared_filter=False,
+        ),
+        cta_spec=CtaSpec(kind="distance_affine"),
+    )
 
 
-def _walk_fields(config, path=()):
-    """Yield (path, leaf value) for every scalar field of a config tree."""
+def _config_type_closure():
+    """Every dataclass type reachable from ``SystemConfig``'s type hints.
+
+    ``X | None`` and ``tuple[X, ...]`` are unwrapped through
+    ``typing.get_args``; ``SystemConfig``'s string annotations name
+    types it cannot import, so they are resolved here.
+    """
+    import typing
+    from dataclasses import is_dataclass
+
+    from repro.locality.spec import CtaSpec, PlacementSpec
+    from repro.topology.spec import TopologySpec
+
+    names = {"TopologySpec": TopologySpec, "PlacementSpec": PlacementSpec,
+             "CtaSpec": CtaSpec}
+    seen: set[type] = set()
+    todo = [SystemConfig]
+    while todo:
+        cls = todo.pop()
+        if cls in seen:
+            continue
+        seen.add(cls)
+        hints = list(typing.get_type_hints(cls, localns=names).values())
+        while hints:
+            hint = hints.pop()
+            hints.extend(typing.get_args(hint))
+            if is_dataclass(hint):
+                todo.append(hint)
+    return seen
+
+
+def _walk_fields(node, visited, path=()):
+    """Yield ``(owner type, field name, path, value)`` per leaf field.
+
+    Recurses into nested dataclasses and tuples of dataclasses (a path
+    element is then the tuple index); records every dataclass type it
+    enters in ``visited``. ``None`` (an absent optional subtree) is
+    skipped: the filled-in base config reaches it.
+    """
     from dataclasses import fields as _fields, is_dataclass as _is_dc
 
-    for f in _fields(config):
-        value = getattr(config, f.name)
-        if _is_dc(value) and not isinstance(value, type):
-            yield from _walk_fields(value, path + (f.name,))
-        else:
-            yield path + (f.name,), value
+    visited.add(type(node))
+    for f in _fields(node):
+        value = getattr(node, f.name)
+        if _is_dc(value):
+            yield from _walk_fields(value, visited, path + (f.name,))
+        elif value and isinstance(value, tuple) and all(map(_is_dc, value)):
+            for i, item in enumerate(value):
+                yield from _walk_fields(item, visited, path + (f.name, i))
+        elif value is not None:
+            yield type(node), f.name, path + (f.name,), value
 
 
-def _replace_at(config, path, new_value):
+def _perturbations(owner, name, value, strings):
+    """Candidate values of the same type that differ from ``value``.
+
+    A ``kind`` field draws the other registered kinds of its owner; any
+    other string tries a fresh name, then every other string of the
+    config (node names, so an edge can be re-wired validly). A tuple of
+    scalars is rotated (socket and router order are node ids).
+    """
+    import enum as _enum
+
+    from repro.locality.spec import (
+        CTA_KINDS, PLACEMENT_KINDS, CtaSpec, PlacementSpec,
+    )
+    from repro.topology.spec import BUILDERS, TopologySpec
+
+    kinds = {PlacementSpec: PLACEMENT_KINDS, CtaSpec: CTA_KINDS,
+             TopologySpec: tuple(BUILDERS)}
+    if isinstance(value, bool):
+        candidates = [not value]
+    elif isinstance(value, int):
+        candidates = [value + 1, value * 2]
+    elif isinstance(value, float):
+        candidates = [value * 2 + 1.0, value / 2]
+    elif isinstance(value, _enum.Enum):
+        members = list(type(value))
+        candidates = [members[(members.index(value) + 1) % len(members)]]
+    elif isinstance(value, str) and name == "kind":
+        candidates = list(kinds[owner])
+    elif isinstance(value, str):
+        candidates = [value + "_x", *strings]
+    else:  # a tuple of scalars
+        candidates = [value[1:] + value[:1]]
+    return [c for c in candidates if c != value]
+
+
+def _replace_at(node, path, new_value):
     from dataclasses import replace as _replace
 
-    if len(path) == 1:
-        return _replace(config, **{path[0]: new_value})
-    child = getattr(config, path[0])
-    return _replace(config, **{path[0]: _replace_at(child, path[1:], new_value)})
+    head, rest = path[0], path[1:]
+    child = node[head] if isinstance(head, int) else getattr(node, head)
+    if rest:
+        new_value = _replace_at(child, rest, new_value)
+    if isinstance(head, int):
+        return node[:head] + (new_value,) + node[head + 1:]
+    return _replace(node, **{head: new_value})
 
 
 def test_every_config_field_changes_the_digest():
@@ -202,32 +290,39 @@ def test_every_config_field_changes_the_digest():
 
     The old hand-maintained memo key omitted noc_bandwidth, dram_latency,
     L1 geometry, and more; the content-addressed key must react to a
-    change in *any* scalar field of the config tree.
+    change in *any* leaf field of the config tree, including those of
+    the optional topology (routers, edges and their links) and of the
+    locality specs. The walk must reach every dataclass type
+    ``SystemConfig``'s type hints can hold, so a new optional subtree
+    fails here until ``_filled_config`` sets it, and every leaf field
+    must have at least one valid change.
     """
     from repro.config import config_digest
 
-    base = paper_config()
-    baseline = config_digest(base)
-    checked = 0
-    for path, value in _walk_fields(base):
-        new_value = _perturb(value)
-        if new_value is None:
-            continue
-        try:
-            mutated = _replace_at(base, path, new_value)
-        except ConfigError:
-            # Some perturbations violate validation (e.g. capacity not
-            # divisible); try a second, coarser perturbation.
-            if not isinstance(value, int):
-                continue
-            mutated = _replace_at(base, path, value * 2)
-        assert config_digest(mutated) != baseline, (
-            f"field {'.'.join(path)} does not affect the config digest"
-        )
-        checked += 1
-    # Sanity: the walk actually covered the whole tree (Table 1 has
-    # well over 20 scalar parameters).
-    assert checked >= 25
+    visited: set[type] = set()
+    leaves: set[tuple[type, str]] = set()
+    checked: set[tuple[type, str]] = set()
+    for base in (paper_config(), _filled_config()):
+        baseline = config_digest(base)
+        walk = list(_walk_fields(base, visited))
+        strings = sorted({v for *_, v in walk if isinstance(v, str)})
+        for owner, name, path, value in walk:
+            leaves.add((owner, name))
+            for candidate in _perturbations(owner, name, value, strings):
+                try:
+                    mutated = _replace_at(base, path, candidate)
+                except ConfigError:
+                    continue  # e.g. an edge re-wired into a disconnection
+                assert config_digest(mutated) != baseline, (
+                    f"{owner.__name__} field {'.'.join(map(str, path))} "
+                    "does not affect the config digest"
+                )
+                checked.add((owner, name))
+                break
+    assert visited == _config_type_closure()
+    assert checked == leaves, sorted(
+        f"{owner.__name__}.{name}" for owner, name in leaves - checked
+    )
 
 
 def test_digest_is_stable_and_order_free():

@@ -2,10 +2,7 @@
 
 Each rule gets a minimal fixture project (written under ``tmp_path``)
 containing exactly the violation it exists to catch, plus a clean
-variant proving the rule does not fire on the sanctioned idiom. The
-fingerprint fixtures re-create the PR-1 memo-aliasing bug shape — an
-explicit hand-picked field tuple — and must keep failing the lint; the
-generic ``dataclasses.fields`` walk the real repo uses must stay clean.
+variant proving the rule does not fire on the sanctioned idiom.
 
 The suite ends with the meta-test: the real linter over the real
 ``src``/``scripts`` trees must exit 0 against the committed baseline.
@@ -15,8 +12,6 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-
-import pytest
 
 from repro.analysis.baseline import (
     diff_against_baseline,
@@ -30,12 +25,9 @@ from repro.analysis.core import Finding, analyze, parse_suppressions
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _lint(root: Path, rules=None, tests_dir=None):
+def _lint(root: Path, rules=None):
     """Run the default checkers over a fixture tree; returns findings."""
-    findings, _ = analyze(
-        [root], default_checkers(rules), root=root, tests_dir=tests_dir
-    )
-    return findings
+    return analyze([root], default_checkers(rules), root=root)
 
 
 def _rules_of(findings):
@@ -133,81 +125,6 @@ def test_suppression_comment_silences_the_named_rule(tmp_path):
     findings = _lint(tmp_path, rules=("determinism",))
     # Only the line suppressing an unrelated rule still reports.
     assert [f.line for f in findings] == [3]
-
-
-# ----------------------------------------------------------------------
-# fingerprint completeness (the PR-1 regression fixture)
-# ----------------------------------------------------------------------
-_FIXTURE_CONFIG = (
-    "from dataclasses import dataclass\n"
-    "\n"
-    "@dataclass(frozen=True)\n"
-    "class LinkConfig:\n"
-    "    bandwidth: float = 32.0\n"
-    "    latency: int = 64\n"
-    "\n"
-    "@dataclass(frozen=True)\n"
-    "class SystemConfig:\n"
-    "    n_sockets: int = 4\n"
-    "    page_size: int = 4096\n"
-    '    link: "LinkConfig" = LinkConfig()\n'
-)
-
-
-def test_fingerprint_flags_pr1_style_explicit_key(tmp_path):
-    # The PR-1 bug shape: a hand-picked tuple that silently drops
-    # page_size and the nested link.latency.
-    (tmp_path / "config.py").write_text(
-        _FIXTURE_CONFIG
-        + "\n"
-        "def config_fingerprint(config):\n"
-        "    return (config.n_sockets, config.link.bandwidth)\n"
-    )
-    findings = _lint(tmp_path, rules=("fingerprint-complete",))
-    missing = {m for f in findings for m in ("page_size", "latency")
-               if m in f.message}
-    assert missing == {"page_size", "latency"}
-    assert all("PR-1" in f.message for f in findings)
-
-
-def test_fingerprint_generic_fields_walk_is_clean(tmp_path):
-    (tmp_path / "config.py").write_text(
-        _FIXTURE_CONFIG
-        + "\n"
-        "from dataclasses import fields, is_dataclass\n"
-        "\n"
-        "def _canonical(value):\n"
-        "    if is_dataclass(value):\n"
-        "        return tuple(\n"
-        "            (f.name, _canonical(getattr(value, f.name)))\n"
-        "            for f in fields(value)\n"
-        "        )\n"
-        "    return value\n"
-        "\n"
-        "def config_fingerprint(config):\n"
-        "    return _canonical(config)\n"
-    )
-    assert _lint(tmp_path, rules=("fingerprint-complete",)) == []
-
-
-def test_fingerprint_flags_name_filter_in_generic_walk(tmp_path):
-    # A generic walk that filters one field by name re-creates the
-    # aliasing hazard for exactly that field.
-    (tmp_path / "config.py").write_text(
-        _FIXTURE_CONFIG
-        + "\n"
-        "from dataclasses import fields\n"
-        "\n"
-        "def config_fingerprint(config):\n"
-        "    return tuple(\n"
-        "        getattr(config, f.name)\n"
-        "        for f in fields(config)\n"
-        '        if f.name != "page_size"\n'
-        "    )\n"
-    )
-    findings = _lint(tmp_path, rules=("fingerprint-complete",))
-    assert len(findings) == 1
-    assert "'page_size'" in findings[0].message
 
 
 # ----------------------------------------------------------------------
@@ -339,146 +256,6 @@ def test_obs_cold_function_is_not_checked(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# export round-trip
-# ----------------------------------------------------------------------
-_FIXTURE_RESULT = (
-    "from dataclasses import dataclass\n"
-    "\n"
-    "@dataclass\n"
-    "class RunResult:\n"
-    "    workload: str = ''\n"
-    "    cycles: int = 0\n"
-    "    migrations: int = 0\n"
-)
-
-
-def test_export_roundtrip_flags_dropped_field(tmp_path):
-    (tmp_path / "report.py").write_text(_FIXTURE_RESULT)
-    (tmp_path / "export.py").write_text(
-        "from report import RunResult\n"
-        "\n"
-        "def result_to_json_dict(result):\n"
-        "    return {'workload': result.workload, 'cycles': result.cycles}\n"
-        "\n"
-        "def result_from_json_dict(data):\n"
-        "    return RunResult(workload=data['workload'],\n"
-        "                     cycles=data['cycles'])\n"
-    )
-    findings = _lint(tmp_path, rules=("export-roundtrip",))
-    # migrations is missing from both directions.
-    assert len(findings) == 2
-    assert all("migrations" in f.message for f in findings)
-    assert {f.symbol for f in findings} == {
-        "result_to_json_dict", "result_from_json_dict"
-    }
-
-
-def test_export_roundtrip_honours_explicit_omission(tmp_path):
-    (tmp_path / "report.py").write_text(_FIXTURE_RESULT)
-    (tmp_path / "export.py").write_text(
-        "from report import RunResult\n"
-        "\n"
-        "JSON_OMITTED_FIELDS = ('migrations',)\n"
-        "\n"
-        "def result_to_json_dict(result):\n"
-        "    return {'workload': result.workload, 'cycles': result.cycles}\n"
-        "\n"
-        "def result_from_json_dict(data):\n"
-        "    return RunResult(workload=data['workload'],\n"
-        "                     cycles=data['cycles'])\n"
-    )
-    assert _lint(tmp_path, rules=("export-roundtrip",)) == []
-
-
-def test_export_roundtrip_flags_stale_omission(tmp_path):
-    (tmp_path / "report.py").write_text(_FIXTURE_RESULT)
-    (tmp_path / "export.py").write_text(
-        "from report import RunResult\n"
-        "\n"
-        "JSON_OMITTED_FIELDS = ('no_such_field',)\n"
-        "\n"
-        "def result_to_json_dict(result):\n"
-        "    return {'workload': result.workload, 'cycles': result.cycles,\n"
-        "            'migrations': result.migrations}\n"
-        "\n"
-        "def result_from_json_dict(data):\n"
-        "    return RunResult(**data)\n"
-    )
-    findings = _lint(tmp_path, rules=("export-roundtrip",))
-    assert len(findings) == 1
-    assert "'no_such_field'" in findings[0].message
-
-
-def test_export_roundtrip_conditional_emission_counts(tmp_path):
-    # The goldens-stability idiom: emit-only-when-non-empty via a
-    # subscript assignment still covers the field.
-    (tmp_path / "report.py").write_text(_FIXTURE_RESULT)
-    (tmp_path / "export.py").write_text(
-        "from report import RunResult\n"
-        "\n"
-        "def result_to_json_dict(result):\n"
-        "    payload = {'workload': result.workload, 'cycles': result.cycles}\n"
-        "    if result.migrations:\n"
-        "        payload['migrations'] = result.migrations\n"
-        "    return payload\n"
-        "\n"
-        "def result_from_json_dict(data):\n"
-        "    return RunResult(workload=data['workload'],\n"
-        "                     cycles=data['cycles'],\n"
-        "                     migrations=data.get('migrations', 0))\n"
-    )
-    assert _lint(tmp_path, rules=("export-roundtrip",)) == []
-
-
-# ----------------------------------------------------------------------
-# registry hygiene
-# ----------------------------------------------------------------------
-def test_registry_hygiene_flags_undocumented_and_untested(tmp_path):
-    tests = tmp_path / "tests"
-    tests.mkdir()
-    (tests / "test_policies.py").write_text(
-        "def test_foo():\n"
-        "    assert 'foo' in PAGE_POLICIES\n"
-    )
-    (tmp_path / "placement.py").write_text(
-        "class FooPolicy:\n"
-        "    '''Places pages on socket foo.'''\n"
-        "    kind = 'foo'\n"
-        "\n"
-        "class BarPolicy:\n"
-        "    kind = 'bar'\n"
-        "\n"
-        "PAGE_POLICIES = {cls.kind: cls for cls in (FooPolicy, BarPolicy)}\n"
-    )
-    findings = _lint(tmp_path, rules=("registry-hygiene",),
-                     tests_dir=tests)
-    assert len(findings) == 2
-    assert any("no docstring" in f.message and f.symbol == "BarPolicy"
-               for f in findings)
-    assert any("'bar'" in f.message and "never referenced" in f.message
-               for f in findings)
-
-
-def test_registry_hygiene_dict_literal_aliases(tmp_path):
-    tests = tmp_path / "tests"
-    tests.mkdir()
-    (tests / "test_policies.py").write_text("KINDS = ['contig']\n")
-    (tmp_path / "cta.py").write_text(
-        "class ContigCta:\n"
-        "    '''Contiguous blocks.'''\n"
-        "    kind = 'contig'\n"
-        "\n"
-        "CTA_POLICIES = {'contig': ContigCta, 'legacy_alias': ContigCta}\n"
-    )
-    findings = _lint(tmp_path, rules=("registry-hygiene",),
-                     tests_dir=tests)
-    # The class is documented and 'contig' is tested; only the alias
-    # kind lacks a test reference.
-    assert len(findings) == 1
-    assert "'legacy_alias'" in findings[0].message
-
-
-# ----------------------------------------------------------------------
 # baseline machinery
 # ----------------------------------------------------------------------
 def test_baseline_round_trip_and_drift(tmp_path):
@@ -542,7 +319,7 @@ def test_lint_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule, _ in all_rules():
         assert rule in out
-    assert len(all_rules()) == 7
+    assert len(all_rules()) == 4
 
 
 def test_lint_cli_unknown_rule_is_usage_error(tmp_path, capsys):
@@ -597,14 +374,3 @@ def test_real_tree_passes_against_committed_baseline(capsys):
     out = capsys.readouterr().out
     assert "OK: 0 new finding(s)" in out
 
-
-def test_real_fingerprint_is_generic_and_complete():
-    # Belt and braces for the PR-1 class: the real config_fingerprint
-    # must stay on the generic dataclasses.fields walk (the explicit
-    # path of the checker would demand per-field reads otherwise).
-    findings, _ = analyze(
-        [REPO_ROOT / "src" / "repro" / "config.py"],
-        default_checkers(("fingerprint-complete",)),
-        root=REPO_ROOT,
-    )
-    assert findings == []

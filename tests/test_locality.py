@@ -755,7 +755,7 @@ def test_distance_affine_on_thin_trunk_switch_tree():
 
 
 # ---------------------------------------------------------------------------
-# registry catalogue (the registry-hygiene lint leans on these literals)
+# registry catalogue: these literals are the policy-registry contract
 # ---------------------------------------------------------------------------
 
 

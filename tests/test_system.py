@@ -26,22 +26,22 @@ def test_build_system_default_is_scaled_four_socket():
     system = build_system()
     assert system.config.n_sockets == 4
     assert len(system.sockets) == 4
-    assert system.switch is not None
+    assert system.fabric is not None
 
 
 def test_single_socket_has_no_switch_or_balancers():
     system = build_system(single_gpu_config(scaled_config()))
-    assert system.switch is None
+    assert system.fabric is None
     assert system.balancers == []
     assert system.cache_controllers == []
 
 
 def test_links_know_their_owner():
     system = build_system(scaled_config(n_sockets=4, sms_per_socket=2))
-    assert system.switch is not None
-    assert len(system.switch.owners) == len(system.sockets)
+    assert system.fabric is not None
+    assert len(system.fabric.owners) == len(system.sockets)
     for sid, socket in enumerate(system.sockets):
-        assert system.switch.owners[sid] is socket
+        assert system.fabric.owners[sid] is socket
 
 
 def test_static_policy_builds_no_balancers():
@@ -84,10 +84,10 @@ def test_doubled_link_policy_doubles_bandwidth():
         cfg.link.lane_bandwidth * 2
     )
     system = build_system(cfg)
-    assert system.switch is not None
+    assert system.fabric is not None
     from repro.interconnect.link import Direction
 
-    link = system.switch.balancer_links[0]
+    link = system.fabric.balancer_links[0]
     assert link.bandwidth(Direction.EGRESS) == pytest.approx(
         2 * cfg.link.direction_bandwidth
     )
