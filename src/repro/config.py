@@ -20,6 +20,7 @@ Units
 from __future__ import annotations
 
 import enum
+import functools
 import hashlib
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING
@@ -387,32 +388,70 @@ def hypothetical_config(config: SystemConfig, factor: int) -> SystemConfig:
 # content-addressed config identity
 # ---------------------------------------------------------------------------
 
-def _canonical_value(value: object) -> object:
-    """Reduce one config value to a canonical, hashable form.
+#: Private ``__dict__`` keys of the identity memo (see :func:`_canonical`).
+#: Dataclass ``==``, ``hash``, ``repr``, ``fields`` and ``asdict`` read
+#: declared fields only, so they never see these entries.
+_CANONICAL_MEMO = "_canonical_memo"
+_DIGEST_MEMO = "_digest_memo"
+
+
+@functools.cache
+def _dataclass_layout(cls: type) -> tuple[tuple[str, ...], bool]:
+    """Field names of one dataclass type, and whether its instances may
+    carry an identity memo: frozen, and with a ``__dict__`` to hold it."""
+    memoizable = (
+        cls.__dataclass_params__.frozen  # type: ignore[attr-defined]
+        and not hasattr(cls, "__slots__")
+    )
+    return tuple(f.name for f in fields(cls)), memoizable
+
+
+def _canonical(value: object) -> tuple[object, bool]:
+    """Canonical, hashable form of one config value, and whether it is
+    immutable.
 
     Dataclasses become ``(class name, (field, value), ...)`` tuples by
     *introspecting their fields*, so a newly added field can never be
     silently dropped from a config's identity. Enums reduce to their
     class and value, floats keep their exact shortest ``repr``.
+
+    A frozen dataclass whose whole subtree is immutable (no ``list`` or
+    ``dict`` anywhere below it) keeps its canonical form in its own
+    ``__dict__``, so every later walk of it is one dict lookup. The memo
+    cannot go stale: nothing below it can change, ``dataclasses.replace``
+    builds a fresh instance without one, and a copy or pickle carries it
+    along with the equal field values it was computed from.
     """
     if is_dataclass(value) and not isinstance(value, type):
-        return (
-            type(value).__name__,
-            tuple(
-                (f.name, _canonical_value(getattr(value, f.name)))
-                for f in fields(value)
-            ),
-        )
+        names, immutable = _dataclass_layout(type(value))
+        if immutable:
+            memo = value.__dict__.get(_CANONICAL_MEMO)
+            if memo is not None:
+                return memo, True
+        items = []
+        for name in names:
+            canon, fixed = _canonical(getattr(value, name))
+            items.append((name, canon))
+            immutable = immutable and fixed
+        canon = (type(value).__name__, tuple(items))
+        if immutable:
+            value.__dict__[_CANONICAL_MEMO] = canon
+        return canon, immutable
     if isinstance(value, enum.Enum):
-        return (type(value).__name__, value.value)
+        return (type(value).__name__, value.value), True
     if isinstance(value, (list, tuple)):
-        return tuple(_canonical_value(v) for v in value)
+        items, immutable = [], isinstance(value, tuple)
+        for v in value:
+            canon, fixed = _canonical(v)
+            items.append(canon)
+            immutable = immutable and fixed
+        return tuple(items), immutable
     if isinstance(value, dict):
         return tuple(
-            (k, _canonical_value(v)) for k, v in sorted(value.items())
-        )
+            (k, _canonical(v)[0]) for k, v in sorted(value.items())
+        ), False
     if isinstance(value, (int, float, str, bool, bytes, type(None))):
-        return value
+        return value, True
     raise ConfigError(
         f"cannot canonicalize config value of type {type(value).__name__}"
     )
@@ -426,15 +465,20 @@ def config_fingerprint(config: SystemConfig) -> tuple:
     parameter — including ones added after this function was written —
     is identical. This is the memoization key of the experiment harness.
     """
-    return _canonical_value(config)  # type: ignore[return-value]
+    return _canonical(config)[0]  # type: ignore[return-value]
 
 
 def config_digest(config: SystemConfig) -> str:
     """Stable hex digest of :func:`config_fingerprint` (disk-cache key).
 
     Floats are rendered with ``repr`` (shortest round-trip form), so the
-    digest is reproducible across processes and Python sessions.
+    digest is reproducible across processes and Python sessions. An
+    immutable config keeps its digest beside its canonical-form memo.
     """
-    return hashlib.sha256(
-        repr(config_fingerprint(config)).encode()
-    ).hexdigest()
+    digest = config.__dict__.get(_DIGEST_MEMO)
+    if digest is None:
+        canon, immutable = _canonical(config)
+        digest = hashlib.sha256(repr(canon).encode()).hexdigest()
+        if immutable:
+            config.__dict__[_DIGEST_MEMO] = digest
+    return digest

@@ -238,11 +238,14 @@ class Engine:
     def _migrate_window(self) -> None:
         """Pull overflow buckets whose timestamps entered the ring window.
 
-        Called whenever ``now`` advances, *before* any callback at the
-        new time runs. Keeps the invariant that every overflow timestamp
-        is ``>= now + RING_SIZE`` — which is what guarantees a ring event
-        and an overflow event can never share a timestamp, and therefore
-        that ring-first drain order equals global ``(time, seq)`` order.
+        Runs whenever ``now`` advances, *before* any callback at the new
+        time runs. The drain loops test the heap's head inline and call
+        this only when a bucket really entered the window, since most
+        clock advances move none. Keeps the invariant that every
+        overflow timestamp is ``>= now + RING_SIZE`` — which is what
+        guarantees a ring event and an overflow event can never share a
+        timestamp, and therefore that ring-first drain order equals
+        global ``(time, seq)`` order.
         """
         times = self._times
         limit = self.now + RING_SIZE
@@ -308,7 +311,7 @@ class Engine:
                     ring[slot] = bucket
                     self._ring_items += 1
                 self.now = time
-                if times:
+                if times and times[0] < time + RING_SIZE:
                     migrate()
                 consumed = 0
                 try:
@@ -387,7 +390,7 @@ class Engine:
                 else:
                     break
                 self.now = time
-                if times:
+                if times and times[0] < time + RING_SIZE:
                     self._migrate_window()
                 try:
                     for entry in bucket:

@@ -23,9 +23,6 @@ from dataclasses import dataclass, field, replace
 from repro.config import LinkConfig
 from repro.errors import ConfigError
 
-#: Registered builder names (`build_topology` accepts these kinds).
-_KINDS = ("crossbar", "ring", "mesh2d", "fully_connected", "switch_tree")
-
 
 @dataclass(frozen=True)
 class EdgeSpec:
@@ -67,6 +64,13 @@ class TopologySpec:
     edges: tuple[EdgeSpec, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.kind not in BUILDERS:
+            # is_crossbar keys on the kind, so a misspelt "crossbar"
+            # would silently lose the crossbar's conventions.
+            raise ConfigError(
+                f"topology {self.name!r} has unknown kind {self.kind!r}; "
+                f"known kinds: {', '.join(BUILDERS)}"
+            )
         if not self.sockets:
             raise ConfigError(f"topology {self.name!r} has no socket nodes")
         names = self.sockets + self.routers

@@ -285,6 +285,35 @@ def _replace_at(node, path, new_value):
     return _replace(node, **{head: new_value})
 
 
+def _reference_canonical(value):
+    """An independent, memo-free walk: the canonical form by definition."""
+    import enum as _enum
+    from dataclasses import fields as _fields, is_dataclass as _is_dc
+
+    if _is_dc(value):
+        return (type(value).__name__, tuple(
+            (f.name, _reference_canonical(getattr(value, f.name)))
+            for f in _fields(value)
+        ))
+    if isinstance(value, _enum.Enum):
+        return (type(value).__name__, value.value)
+    if isinstance(value, (list, tuple)):
+        return tuple(_reference_canonical(v) for v in value)
+    if isinstance(value, dict):
+        return tuple(
+            (k, _reference_canonical(v)) for k, v in sorted(value.items())
+        )
+    return value
+
+
+def _reference_digest(config):
+    import hashlib
+
+    return hashlib.sha256(
+        repr(_reference_canonical(config)).encode()
+    ).hexdigest()
+
+
 def test_every_config_field_changes_the_digest():
     """The architectural guarantee: no field can be silently dropped.
 
@@ -295,7 +324,9 @@ def test_every_config_field_changes_the_digest():
     locality specs. The walk must reach every dataclass type
     ``SystemConfig``'s type hints can hold, so a new optional subtree
     fails here until ``_filled_config`` sets it, and every leaf field
-    must have at least one valid change.
+    must have at least one valid change. The base digest is taken
+    first, so every replace starts from a tree that carries its
+    identity memo, and each mutated digest must equal a memo-free walk.
     """
     from repro.config import config_digest
 
@@ -317,6 +348,7 @@ def test_every_config_field_changes_the_digest():
                     f"{owner.__name__} field {'.'.join(map(str, path))} "
                     "does not affect the config digest"
                 )
+                assert config_digest(mutated) == _reference_digest(mutated)
                 checked.add((owner, name))
                 break
     assert visited == _config_type_closure()
@@ -383,3 +415,120 @@ def test_malformed_policy_values_raise_config_error(field, value, expected):
 
     with pytest.raises(ConfigError, match=f"{field} must be a .*{expected}"):
         replace(scaled_config(), **{field: value})
+
+
+# ---------------------------------------------------------------------------
+# the identity memo
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("make", [paper_config, _filled_config])
+def test_memoized_fingerprint_equals_a_fresh_walk(make):
+    from repro.config import (
+        _CANONICAL_MEMO, _DIGEST_MEMO, config_digest, config_fingerprint,
+    )
+
+    config = make()
+    expected = _reference_canonical(config)
+    for _ in range(2):  # the first call fills the memo, the second reads it
+        assert config_fingerprint(config) == expected
+        assert config_digest(config) == _reference_digest(config)
+    assert {_CANONICAL_MEMO, _DIGEST_MEMO} <= set(vars(config))
+    assert _CANONICAL_MEMO in vars(config.gpu.l2)
+
+
+def test_pickle_round_trip_keeps_identity_and_memo():
+    import copy
+    import pickle
+
+    from repro.config import _DIGEST_MEMO, config_digest
+
+    config = _filled_config()
+    digest = config_digest(config)
+    for clone in (pickle.loads(pickle.dumps(config)), copy.deepcopy(config)):
+        assert clone == config
+        assert hash(clone) == hash(config)
+        # The memo travels with the config (a pool worker skips the walk)
+        # and still matches the clone's own fields.
+        assert vars(clone)[_DIGEST_MEMO] == digest
+        assert config_digest(clone) == _reference_digest(clone) == digest
+
+
+def test_memo_is_invisible_to_dataclass_protocols():
+    from dataclasses import asdict, fields as _fields
+
+    from repro.config import config_digest
+
+    fresh, memoized = _filled_config(), _filled_config()
+    config_digest(memoized)
+    assert fresh == memoized
+    assert hash(fresh) == hash(memoized)
+    assert repr(fresh) == repr(memoized)
+    assert asdict(fresh) == asdict(memoized)
+    assert [f.name for f in _fields(memoized)] == [
+        f.name for f in _fields(fresh)
+    ]
+
+
+def test_mutable_subtrees_are_rewalked():
+    """Only all-immutable frozen subtrees keep a memo, so none goes stale."""
+    from dataclasses import dataclass as _dataclass
+
+    from repro.config import _CANONICAL_MEMO, config_fingerprint
+
+    @_dataclass
+    class Loose:
+        x: int
+
+    @_dataclass(frozen=True)
+    class Holder:
+        items: list
+
+    @_dataclass(frozen=True)
+    class Outer:
+        inner: Holder
+
+    @_dataclass(frozen=True, slots=True)
+    class Slotted:  # immutable, but has no __dict__ to hold a memo
+        x: int
+
+    loose = Loose(1)
+    assert config_fingerprint(loose) == ("Loose", (("x", 1),))
+    loose.x = 2
+    assert config_fingerprint(loose) == ("Loose", (("x", 2),))
+
+    outer = Outer(Holder([1]))
+    assert config_fingerprint(outer) == (
+        "Outer", (("inner", ("Holder", (("items", (1,)),))),))
+    outer.inner.items.append(2)
+    assert config_fingerprint(outer) == (
+        "Outer", (("inner", ("Holder", (("items", (1, 2)),))),))
+    for node in (loose, outer, outer.inner):
+        assert _CANONICAL_MEMO not in vars(node)
+    assert config_fingerprint(Slotted(3)) == ("Slotted", (("x", 3),))
+
+
+# ---------------------------------------------------------------------------
+# metamorphic identities
+# ---------------------------------------------------------------------------
+
+def _identity_bases():
+    from repro.harness.runner import ExperimentContext
+
+    ctx = ExperimentContext()
+    return {
+        "paper": paper_config(),
+        "scaled": scaled_config(),
+        "combined": ctx.config_combined(),
+        "ring8": ctx.config_topology("ring", n_sockets=8),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_identity_bases()))
+def test_hypothetical_factor_one_is_the_single_gpu(name):
+    """A 1x "bigger" GPU is the single GPU, so the harness runs it once."""
+    from repro.config import config_digest
+
+    base = _identity_bases()[name]
+    hypo, single = hypothetical_config(base, 1), single_gpu_config(base)
+    assert hypo == single
+    assert config_digest(hypo) == config_digest(single)

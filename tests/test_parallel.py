@@ -115,6 +115,47 @@ def test_planning_context_runs_nothing(ctx):
     assert all(r.traditional == 1.0 for r in result.rows)
 
 
+def test_warm_sweep_walks_each_config_at_most_once(ctx, monkeypatch):
+    """Capture, seed, prewarm and reduce a fully cached sweep.
+
+    Every step keys the result cache by the config's identity; the memo
+    on the frozen config means each distinct config object has its tree
+    walked at most once, however many steps key it.
+    """
+    from repro import config as config_mod
+    from repro.harness import runner as runner_mod
+    from repro.harness.parallel import _stub_result
+
+    real = config_mod._canonical
+    walks: dict[int, list] = {}  # id -> [config (kept alive), count]
+
+    def counting(value):
+        if (type(value) is config_mod.SystemConfig
+                and config_mod._CANONICAL_MEMO not in vars(value)):
+            walks.setdefault(id(value), [value, 0])[1] += 1
+        return real(value)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a warm sweep must not simulate")
+
+    monkeypatch.setattr(config_mod, "_canonical", counting)
+    monkeypatch.setattr(runner_mod, "run_workload_on", no_simulation)
+    driver = lambda c: exp.locality_sweep(  # noqa: E731
+        c, workloads=SUBSET, kinds=("ring",), socket_counts=(4,))
+    plan = capture_plan(ctx, [driver])
+    for task in plan:
+        ctx.seed_cache(task.workload, task.config, task.record_timelines,
+                       _stub_result(task.workload, task.config))
+    runner = ParallelRunner(ctx, jobs=1)
+    assert runner.prewarm(plan) == 0
+    assert runner.skipped == len(plan)
+    driver(ctx)
+    # Plan configs are walked once at capture, the reduction's fresh
+    # configs once each; nothing is walked twice.
+    assert len(walks) >= len({id(task.config) for task in plan})
+    assert max(count for _, count in walks.values()) == 1
+
+
 # ---------------------------------------------------------------------------
 # parallel == serial
 # ---------------------------------------------------------------------------

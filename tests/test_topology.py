@@ -110,6 +110,18 @@ def test_build_topology_rejects_unknown_kind():
         build_topology("hypercube", 4)
 
 
+def test_spec_rejects_misspelt_kind():
+    """A misspelt crossbar must not build as a routed fabric.
+
+    ``is_crossbar`` keys on ``kind``, so an unregistered spelling would
+    silently drop the crossbar's golden-identical conventions.
+    """
+    with pytest.raises(ConfigError, match="unknown kind 'crosbar'.*crossbar"):
+        replace(crossbar(2), kind="crosbar")
+    with pytest.raises(ConfigError, match="known kinds: crossbar, ring"):
+        TopologySpec("t", "hypercube", ("a", "b"), edges=(EdgeSpec("a", "b"),))
+
+
 def test_topology_changes_config_fingerprint():
     base = scaled_config(n_sockets=4)
     with_ring = replace(base, topology=ring(4, base.link))
