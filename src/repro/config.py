@@ -270,11 +270,69 @@ class SystemConfig:
         }
 
 
+#: Results each :func:`memoized_builder` keeps; a full memo is emptied
+#: before the next entry goes in. A full report builds a few dozen.
+BUILDER_MEMO_SIZE = 128
+
+
+def _argument_identity(value: object) -> object:
+    """Exact, hashable identity of one builder argument.
+
+    A dataclass is named by its :func:`config_digest` (memoized on a
+    frozen instance), a float by its ``repr`` as in that digest, anything
+    else by its type and value, so values that compare equal but build
+    different configs (``1`` and ``1.0``, ``True`` and ``1``, ``0.0`` and
+    ``-0.0``, links that differ only so) never share a key.
+    """
+    if is_dataclass(value):
+        return config_digest(value)  # type: ignore[arg-type]
+    if type(value) is float:
+        return float, repr(value)
+    return type(value), value
+
+
+def memoized_builder(builder):
+    """Memoize a pure config builder on the identity of its arguments.
+
+    Every call with the same arguments returns the *same* frozen result,
+    so fresh :class:`~repro.harness.runner.ExperimentContext` objects
+    share their config sub-trees, and the identity memo of
+    :func:`_canonical` answers each walk of a shared sub-tree with one
+    dict lookup. Sharing is safe because a builder's result is deeply
+    immutable: frozen dataclasses over tuples and scalars, which
+    ``dataclasses.replace`` copies rather than changes. A call with an
+    argument that has no such identity (unhashable, or a dataclass that
+    cannot be canonicalized) builds afresh.
+    """
+    memo: dict[tuple, object] = {}
+
+    @functools.wraps(builder)
+    def build(*args, **kwargs):
+        try:
+            key = (
+                tuple(map(_argument_identity, args)),
+                tuple((name, _argument_identity(value))
+                      for name, value in sorted(kwargs.items())),
+            )
+            result = memo.get(key)
+        except (TypeError, AttributeError, ConfigError):
+            return builder(*args, **kwargs)
+        if result is None:
+            result = builder(*args, **kwargs)
+            if len(memo) >= BUILDER_MEMO_SIZE:
+                memo.clear()
+            memo[key] = result
+        return result
+
+    return build
+
+
 def paper_config(n_sockets: int = 4) -> SystemConfig:
     """The exact Table 1 configuration (64 SMs/socket, full bandwidths)."""
     return SystemConfig(n_sockets=n_sockets)
 
 
+@memoized_builder
 def scaled_config(
     n_sockets: int = 4,
     sms_per_socket: int = 8,
@@ -286,6 +344,7 @@ def scaled_config(
     (per-SM bandwidth demand is scale-invariant) and shrinks the L2 so the
     cache:footprint ratio is preserved when paired with the workload
     layer's matching footprint scale. L1 geometry is per-SM and unchanged.
+    Repeat calls return the same object (see :func:`memoized_builder`).
     """
     if sms_per_socket < 1:
         raise ConfigError("sms_per_socket must be >= 1")

@@ -1,6 +1,6 @@
 """On-disk result cache: completed simulations survive across processes.
 
-Each :class:`repro.metrics.report.RunResult` is stored as one JSON file
+Each :class:`repro.metrics.report.RunResult` is stored as one file
 under a cache root (default ``~/.cache/repro/``, overridable via the
 ``REPRO_CACHE_DIR`` environment variable). The file name is a SHA-256
 over the *content-addressed* config digest plus the workload name, scale
@@ -12,10 +12,14 @@ Storage integrity contract (DESIGN.md, "Failure-handling contract"):
 
 * Entries are written atomically (tmp file + rename) so a killed run
   never leaves a truncated JSON behind.
-* Every entry embeds a SHA-256 checksum over the canonical payload
-  serialization, verified on ``get``. An entry that fails to parse,
-  fails the checksum, or fails result reconstruction is **quarantined**
-  — renamed to ``<key>.corrupt`` and counted in :attr:`corrupt`,
+* Every entry is a one-line header ``{"v": 2, "checksum": <hex>}``
+  followed by the payload JSON; the checksum is a SHA-256 over those
+  stored payload bytes, verified on ``get`` before they are decoded, so
+  ``put`` encodes a payload once and ``get`` never re-encodes it. An
+  entry that fails to parse, has another envelope version (a bare
+  pre-envelope payload, or the one-object v1 envelope), fails the
+  checksum, or fails result reconstruction is **quarantined** —
+  renamed to ``<key>.corrupt`` and counted in :attr:`corrupt`,
   separately from misses — so a broken entry is re-read and re-failed at
   most once instead of on every subsequent run.
 * ``put`` never raises: a full disk, read-only cache root, or any other
@@ -41,8 +45,8 @@ from repro.metrics.export import result_from_json_dict, result_to_json_dict
 #: Environment variable overriding the default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Version tag of the on-disk envelope format.
-ENVELOPE_VERSION = 1
+#: Version tag of the on-disk envelope format (the header's ``"v"``).
+ENVELOPE_VERSION = 2
 
 #: Suffix given to quarantined (corrupt) entries.
 CORRUPT_SUFFIX = ".corrupt"
@@ -77,7 +81,8 @@ def default_cache_dir() -> Path:
 
 
 def payload_checksum(payload: dict) -> str:
-    """SHA-256 over the canonical JSON serialization of one payload."""
+    """SHA-256 over the canonical JSON serialization of one payload (the
+    study journal's checksum; cache entries hash their stored bytes)."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                            default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()
@@ -129,16 +134,26 @@ class ResultDiskCache:
     # integrity
     # ------------------------------------------------------------------
     @staticmethod
-    def _verified_payload(data: object) -> dict:
-        """The payload of one envelope, or raise CacheIntegrityError."""
-        if not isinstance(data, dict) or "payload" not in data:
+    def _verified_payload(data: bytes) -> dict:
+        """The payload of one stored entry, or raise CacheIntegrityError.
+
+        The checksum covers the payload bytes exactly as stored, so the
+        body is hashed and decoded once and never re-encoded.
+        """
+        head, newline, body = data.partition(b"\n")
+        header = json.loads(head)
+        if not isinstance(header, dict) or not newline:
             raise CacheIntegrityError("entry is not a checksummed envelope")
-        payload = data["payload"]
+        if header.get("v") != ENVELOPE_VERSION:
+            raise CacheIntegrityError(
+                f"entry envelope version {header.get('v')!r}, "
+                f"expected {ENVELOPE_VERSION}"
+            )
+        if header.get("checksum") != hashlib.sha256(body).hexdigest():
+            raise CacheIntegrityError("entry checksum mismatch")
+        payload = json.loads(body)
         if not isinstance(payload, dict):
             raise CacheIntegrityError("entry payload is not an object")
-        expected = data.get("checksum")
-        if expected != payload_checksum(payload):
-            raise CacheIntegrityError("entry checksum mismatch")
         return payload
 
     def _quarantine(self, path: Path) -> None:
@@ -164,12 +179,12 @@ class ResultDiskCache:
         """
         path = self.path_for(workload, scale_name, record_timelines, config)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             self.misses += 1
             return None
         try:
-            payload = self._verified_payload(json.loads(text))
+            payload = self._verified_payload(data)
             result = result_from_json_dict(payload)
         except (ValueError, KeyError, TypeError):
             self._quarantine(path)
@@ -191,16 +206,16 @@ class ResultDiskCache:
         try:
             faults.inject_cache_put_fault(key)
             self.root.mkdir(parents=True, exist_ok=True)
-            payload = result_to_json_dict(result)
-            envelope = {
+            body = json.dumps(result_to_json_dict(result),
+                              separators=(",", ":")).encode()
+            header = json.dumps({
                 "v": ENVELOPE_VERSION,
-                "checksum": payload_checksum(payload),
-                "payload": payload,
-            }
+                "checksum": hashlib.sha256(body).hexdigest(),
+            }).encode()
             # Per-process temp name: concurrent invocations writing the
             # same entry must not clobber each other's half-written file.
             tmp = path.with_suffix(f".{os.getpid()}.tmp")
-            tmp.write_text(json.dumps(envelope))
+            tmp.write_bytes(header + b"\n" + body)
             os.replace(tmp, path)
         except OSError as error:
             self.put_errors += 1

@@ -30,6 +30,7 @@ from repro.errors import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import LinkConfig
+    from repro.topology.routing import RoutingTables
     from repro.topology.spec import TopologySpec
 
 
@@ -132,13 +133,16 @@ class DistanceModel:
         cls,
         spec: "TopologySpec",
         edge_links: "tuple[LinkConfig, ...] | None" = None,
+        routes: "RoutingTables | None" = None,
     ) -> "DistanceModel":
         """Derive the model from a topology spec's routing tables.
 
         ``edge_links`` optionally overrides the spec's per-edge
         :class:`~repro.config.LinkConfig`s (the system builder passes
         the *effective* links so ``DOUBLED`` provisioning is visible to
-        the model); it must align with ``spec.edges``.
+        the model); it must align with ``spec.edges``. ``routes`` are
+        the spec's routing tables when the caller already computed them
+        (a fabric has); without them they are computed here.
         """
         from repro.topology.routing import compute_routes
 
@@ -155,7 +159,8 @@ class DistanceModel:
             a, b = index[edge.a], index[edge.b]
             by_pair[(a, b)] = link.direction_bandwidth
             by_pair[(b, a)] = link.direction_bandwidth
-        routes = compute_routes(spec)
+        if routes is None:
+            routes = compute_routes(spec)
         n = spec.n_sockets
         hops: list[tuple[int, ...]] = []
         min_bw: list[tuple[float, ...]] = []

@@ -353,7 +353,9 @@ class MultiHopFabric:
             return DistanceModel.identity(
                 self.spec.n_sockets, self.edges[0].bandwidth(Direction.EGRESS)
             )
-        return DistanceModel.from_spec(self.spec, self._edge_links)
+        return DistanceModel.from_spec(
+            self.spec, self._edge_links, routes=self.routes
+        )
 
 
 def build_fabric(config: SystemConfig, engine: Engine):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.config import LinkConfig
+from repro.config import LinkConfig, memoized_builder
 from repro.errors import ConfigError
 
 
@@ -396,6 +396,7 @@ BUILDERS: dict[str, object] = {
 }
 
 
+@memoized_builder
 def build_topology(
     kind: str, n_sockets: int, link: LinkConfig | None = None, **kwargs
 ) -> TopologySpec:
@@ -404,7 +405,8 @@ def build_topology(
     Builder-specific heterogeneity options pass through ``kwargs``:
     ``mesh2d`` takes ``edge_taper`` (perimeter-lane scaling),
     ``switch_tree`` takes ``trunk`` (inter-package LinkConfig override)
-    and ``n_packages``.
+    and ``n_packages``. Repeat calls return the same spec (see
+    :func:`repro.config.memoized_builder`).
     """
     builder = BUILDERS.get(kind)
     if builder is None:

@@ -507,6 +507,36 @@ def test_mutable_subtrees_are_rewalked():
     assert config_fingerprint(Slotted(3)) == ("Slotted", (("x", 3),))
 
 
+def test_memoized_builders_share_immutable_results():
+    """Fresh contexts share every built sub-tree, which is safe only
+    because each result is deeply immutable."""
+    from repro.config import _canonical
+    from repro.topology.spec import BUILDERS, build_topology
+
+    config = scaled_config(n_sockets=4, sms_per_socket=2)
+    assert scaled_config(n_sockets=4, sms_per_socket=2) is config
+    assert _canonical(config)[1] is True
+    for kind in BUILDERS:
+        spec = build_topology(kind, 4, config.link)
+        assert build_topology(kind, 4, config.link) is spec
+        assert _canonical(spec)[1] is True
+
+
+def test_memoized_builders_key_on_identity_not_equality():
+    """Equal-comparing arguments with different digests never alias."""
+    from repro.config import config_fingerprint
+    from repro.topology.spec import build_topology
+
+    whole, real = LinkConfig(lane_bandwidth=8), LinkConfig(lane_bandwidth=8.0)
+    assert whole == real
+    a = build_topology("ring", 4, whole)
+    b = build_topology("ring", 4, real)
+    assert a is not b
+    assert type(a.edges[0].link.lane_bandwidth) is int
+    assert type(b.edges[0].link.lane_bandwidth) is float
+    assert repr(config_fingerprint(a)) != repr(config_fingerprint(b))
+
+
 # ---------------------------------------------------------------------------
 # metamorphic identities
 # ---------------------------------------------------------------------------

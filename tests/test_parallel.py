@@ -116,23 +116,32 @@ def test_planning_context_runs_nothing(ctx):
 
 
 def test_warm_sweep_walks_each_config_at_most_once(ctx, monkeypatch):
-    """Capture, seed, prewarm and reduce a fully cached sweep.
+    """Capture, seed, prewarm and reduce a fully cached sweep, twice.
 
     Every step keys the result cache by the config's identity; the memo
     on the frozen config means each distinct config object has its tree
-    walked at most once, however many steps key it.
+    walked at most once, however many steps key it. A second sweep in a
+    fresh context gets its sub-trees from the memoized builders, so it
+    walks none of them again.
     """
     from repro import config as config_mod
     from repro.harness import runner as runner_mod
     from repro.harness.parallel import _stub_result
+    from repro.topology.spec import TopologySpec
 
+    shared = (config_mod.GpuConfig, config_mod.CacheConfig,
+              config_mod.LinkConfig, config_mod.ControllerConfig,
+              TopologySpec)
     real = config_mod._canonical
     walks: dict[int, list] = {}  # id -> [config (kept alive), count]
+    sub_walks: list[str] = []
 
     def counting(value):
-        if (type(value) is config_mod.SystemConfig
-                and config_mod._CANONICAL_MEMO not in vars(value)):
-            walks.setdefault(id(value), [value, 0])[1] += 1
+        if config_mod._CANONICAL_MEMO not in getattr(value, "__dict__", {}):
+            if type(value) is config_mod.SystemConfig:
+                walks.setdefault(id(value), [value, 0])[1] += 1
+            elif type(value) in shared:
+                sub_walks.append(type(value).__name__)
         return real(value)
 
     def no_simulation(*args, **kwargs):
@@ -142,18 +151,29 @@ def test_warm_sweep_walks_each_config_at_most_once(ctx, monkeypatch):
     monkeypatch.setattr(runner_mod, "run_workload_on", no_simulation)
     driver = lambda c: exp.locality_sweep(  # noqa: E731
         c, workloads=SUBSET, kinds=("ring",), socket_counts=(4,))
-    plan = capture_plan(ctx, [driver])
-    for task in plan:
-        ctx.seed_cache(task.workload, task.config, task.record_timelines,
-                       _stub_result(task.workload, task.config))
-    runner = ParallelRunner(ctx, jobs=1)
-    assert runner.prewarm(plan) == 0
-    assert runner.skipped == len(plan)
-    driver(ctx)
+
+    def cached_sweep(context):
+        plan = capture_plan(context, [driver])
+        for task in plan:
+            context.seed_cache(task.workload, task.config,
+                               task.record_timelines,
+                               _stub_result(task.workload, task.config))
+        runner = ParallelRunner(context, jobs=1)
+        assert runner.prewarm(plan) == 0
+        assert runner.skipped == len(plan)
+        driver(context)
+        return plan
+
+    plan = cached_sweep(ctx)
     # Plan configs are walked once at capture, the reduction's fresh
     # configs once each; nothing is walked twice.
     assert len(walks) >= len({id(task.config) for task in plan})
     assert max(count for _, count in walks.values()) == 1
+    walks.clear()
+    sub_walks.clear()
+    cached_sweep(ExperimentContext(sms_per_socket=2, scale=MICRO))
+    assert walks and max(count for _, count in walks.values()) == 1
+    assert sub_walks == []
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +400,60 @@ def test_disk_cache_checksum_mismatch_is_quarantined(tmp_path, ctx):
                      ctx.run("Lonestar-SP", config))
     # Valid JSON, valid envelope shape — but the payload was tampered
     # with after the checksum was computed (silent bit-rot model).
-    envelope = json.loads(path.read_text())
-    envelope["payload"]["cycles"] = envelope["payload"]["cycles"] + 1
-    path.write_text(json.dumps(envelope))
+    header, body = path.read_bytes().split(b"\n", 1)
+    payload = json.loads(body)
+    payload["cycles"] = payload["cycles"] + 1
+    path.write_bytes(header + b"\n" + json.dumps(payload).encode())
     assert cache.get("Lonestar-SP", MICRO.name, False, config) is None
     assert cache.corrupt == 1
     assert path.with_suffix(".corrupt").exists()
+
+
+def test_disk_cache_v1_envelope_is_quarantined(tmp_path, ctx):
+    import json
+
+    from repro.harness.diskcache import payload_checksum
+
+    cache = ResultDiskCache(tmp_path)
+    config = ctx.config_single_gpu()
+    result = ctx.run("Lonestar-SP", config)
+    path = cache.put("Lonestar-SP", MICRO.name, False, config, result)
+    # A well-formed entry of the older one-object format, whose checksum
+    # re-encoded the decoded payload, is not trusted either.
+    payload = result_to_json_dict(result)
+    path.write_text(json.dumps(
+        {"v": 1, "checksum": payload_checksum(payload), "payload": payload}))
+    assert cache.get("Lonestar-SP", MICRO.name, False, config) is None
+    assert cache.corrupt == 1
+    assert path.with_suffix(".corrupt").exists()
+
+
+def test_disk_cache_cut_off_body_is_quarantined(tmp_path, ctx):
+    cache = ResultDiskCache(tmp_path)
+    config = ctx.config_single_gpu()
+    path = cache.put("Lonestar-SP", MICRO.name, False, config,
+                     ctx.run("Lonestar-SP", config))
+    header, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + body[: len(body) // 2])
+    assert cache.get("Lonestar-SP", MICRO.name, False, config) is None
+    assert cache.corrupt == 1
+    assert path.with_suffix(".corrupt").exists()
+
+
+def test_disk_cache_hit_encodes_nothing(tmp_path, ctx, monkeypatch):
+    import json
+
+    cache = ResultDiskCache(tmp_path)
+    config = ctx.config_single_gpu()
+    result = ctx.run("Lonestar-SP", config)
+    cache.put("Lonestar-SP", MICRO.name, False, config, result)
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("a cache hit must not re-encode its payload")
+
+    monkeypatch.setattr(json, "dumps", no_encode)
+    assert cache.get("Lonestar-SP", MICRO.name, False, config) == result
+    assert (cache.hits, cache.corrupt) == (1, 0)
 
 
 def test_disk_cache_pre_envelope_entry_is_quarantined(tmp_path, ctx):

@@ -530,3 +530,25 @@ def test_topology_sweep_driver_smoke():
     assert cell.mean_hops >= 1.0
     assert 0.0 <= cell.bisection_utilization <= 1.0
     assert sweep.per_workload[("locality", "ring", 4)]["Rodinia-BFS"] > 0
+
+
+def test_ring_system_build_computes_routes_once(monkeypatch):
+    """The fabric's routing tables also feed its distance model."""
+    from repro.core.builder import build_system
+    from repro.topology import fabric as fabric_mod
+    from repro.topology import routing as routing_mod
+
+    calls = []
+
+    def counting(spec):
+        calls.append(spec.name)
+        return compute_routes(spec)
+
+    monkeypatch.setattr(fabric_mod, "compute_routes", counting)
+    monkeypatch.setattr(routing_mod, "compute_routes", counting)
+    base = scaled_config(n_sockets=4, sms_per_socket=2)
+    config = replace(base, topology=build_topology("ring", 4, base.link))
+    system = build_system(config)
+    assert calls == ["ring4"]
+    assert system.distance_model.hops == DistanceModel.from_spec(
+        config.topology).hops
