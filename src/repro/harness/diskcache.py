@@ -92,6 +92,15 @@ class CacheIntegrityError(ValueError):
     """An entry's envelope or checksum failed verification."""
 
 
+def envelope_header(checksum: str) -> bytes:
+    """The header line ``put`` writes: ``json.dumps`` of ``{"v", "checksum"}``.
+
+    Spelled out rather than encoded, so ``get`` can accept a well-formed
+    entry by one bytes comparison instead of decoding its header.
+    """
+    return f'{{"v": {ENVELOPE_VERSION}, "checksum": "{checksum}"}}'.encode()
+
+
 class ResultDiskCache:
     """A content-addressed store of finished :class:`RunResult` objects."""
 
@@ -138,19 +147,16 @@ class ResultDiskCache:
         """The payload of one stored entry, or raise CacheIntegrityError.
 
         The checksum covers the payload bytes exactly as stored, so the
-        body is hashed and decoded once and never re-encoded.
+        body is hashed and decoded once and never re-encoded. ``put`` is
+        the only writer, so a valid entry's header is byte for byte
+        :func:`envelope_header` of its body's checksum.
         """
         head, newline, body = data.partition(b"\n")
-        header = json.loads(head)
-        if not isinstance(header, dict) or not newline:
-            raise CacheIntegrityError("entry is not a checksummed envelope")
-        if header.get("v") != ENVELOPE_VERSION:
+        if not newline or head != envelope_header(
+                hashlib.sha256(body).hexdigest()):
             raise CacheIntegrityError(
-                f"entry envelope version {header.get('v')!r}, "
-                f"expected {ENVELOPE_VERSION}"
-            )
-        if header.get("checksum") != hashlib.sha256(body).hexdigest():
-            raise CacheIntegrityError("entry checksum mismatch")
+                f"entry is not a v{ENVELOPE_VERSION} envelope with a "
+                "matching checksum")
         payload = json.loads(body)
         if not isinstance(payload, dict):
             raise CacheIntegrityError("entry payload is not an object")
@@ -208,10 +214,7 @@ class ResultDiskCache:
             self.root.mkdir(parents=True, exist_ok=True)
             body = json.dumps(result_to_json_dict(result),
                               separators=(",", ":")).encode()
-            header = json.dumps({
-                "v": ENVELOPE_VERSION,
-                "checksum": hashlib.sha256(body).hexdigest(),
-            }).encode()
+            header = envelope_header(hashlib.sha256(body).hexdigest())
             # Per-process temp name: concurrent invocations writing the
             # same entry must not clobber each other's half-written file.
             tmp = path.with_suffix(f".{os.getpid()}.tmp")

@@ -9,14 +9,17 @@ system size so every figure of one report is internally consistent.
 The memo key is *content-addressed*: :func:`repro.config.config_fingerprint`
 walks every field of the frozen config dataclass tree, so a config
 parameter can never be silently omitted from a run's identity (see
-DESIGN.md, "Result caching"). A context may also carry an optional
-on-disk cache (:class:`repro.harness.diskcache.ResultDiskCache`) so
-results survive across processes and repeated script invocations.
+DESIGN.md, "Result caching"). Every ``config_*`` method returns a
+shared frozen object, the same one for equal arguments on any context
+of the same system size, so a config's identity is walked once per
+process however many contexts key it. A context may also carry an
+optional on-disk cache (:class:`repro.harness.diskcache.ResultDiskCache`)
+so results survive across processes and repeated script invocations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 from repro.config import (
@@ -26,10 +29,12 @@ from repro.config import (
     WritePolicy,
     config_fingerprint,
     hypothetical_config,
+    memoized_builder,
     scaled_config,
     single_gpu_config,
 )
 from repro.core.builder import run_workload_on
+from repro.errors import ConfigError
 from repro.locality.spec import CtaSpec, PlacementSpec
 from repro.metrics.report import RunResult
 from repro.topology.spec import build_topology
@@ -38,6 +43,43 @@ from repro.workloads.suite import get_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.harness.diskcache import ResultDiskCache
+
+
+#: The :class:`PlacementSpec` tuning knobs ``config_locality_policy``
+#: forwards (every field but the policy ``kind``).
+PLACEMENT_KNOBS = frozenset(f.name for f in fields(PlacementSpec)) - {"kind"}
+
+
+# ----------------------------------------------------------------------
+# shared derivations
+# ----------------------------------------------------------------------
+# Every ExperimentContext config is derived from the memoized
+# ``scaled_config`` base by one of these memoized builders, keyed on the
+# base and plain arguments (enums, strings, numbers), so equal requests
+# from any context return the same frozen object and its identity is
+# walked and digested once per process (DESIGN.md, "Result caching").
+
+@memoized_builder
+def _with_controllers(base: SystemConfig, **changes) -> SystemConfig:
+    """``base`` with ``changes`` to its controller sampling parameters."""
+    return replace(base, controllers=replace(base.controllers, **changes))
+
+
+@memoized_builder
+def _with_policies(base: SystemConfig, placement: str, cta: str,
+                   **placement_params) -> SystemConfig:
+    """``base`` with the named placement (and knobs) and CTA policies."""
+    return replace(
+        base,
+        placement_spec=PlacementSpec(kind=placement, **placement_params),
+        cta_spec=CtaSpec(kind=cta),
+    )
+
+
+#: ``replace`` with plain or shared (memoized) field values.
+_derived = memoized_builder(replace)
+_single_gpu = memoized_builder(single_gpu_config)
+_hypothetical = memoized_builder(hypothetical_config)
 
 
 @dataclass
@@ -64,19 +106,16 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     def config_single_gpu(self) -> SystemConfig:
         """One socket with the same per-socket resources."""
-        return single_gpu_config(self.base_config())
+        return _single_gpu(self.base_config())
 
     def config_hypothetical(self, factor: int) -> SystemConfig:
         """The unbuildable ``factor``-x larger single GPU."""
-        return hypothetical_config(self.base_config(), factor)
+        return _hypothetical(self.base_config(), factor)
 
     def config_traditional(self) -> SystemConfig:
         """Traditional single-GPU policies on the NUMA system (Fig 3 green)."""
-        return replace(
-            self.base_config(),
-            cta_spec=CtaSpec(kind="interleaved"),
-            placement_spec=PlacementSpec(kind="fine_interleave"),
-        )
+        return _with_policies(self.base_config(), "fine_interleave",
+                              "interleaved")
 
     def config_locality(self, n_sockets: int | None = None) -> SystemConfig:
         """Locality-optimized runtime, mem-side L2, static links (Fig 3 blue)."""
@@ -84,26 +123,26 @@ class ExperimentContext:
 
     def config_cache(self, arch: CacheArch) -> SystemConfig:
         """Locality runtime with one of the four Figure 7 organizations."""
-        return replace(self.base_config(), cache_arch=arch)
+        return _derived(self.base_config(), cache_arch=arch)
 
     def config_dynamic_link(self, sample_time: int | None = None,
                             switch_time: int | None = None) -> SystemConfig:
         """Locality runtime with the Section 4 dynamic links."""
-        config = replace(self.base_config(), link_policy=LinkPolicy.DYNAMIC)
-        controllers = config.controllers
+        config = _derived(self.base_config(), link_policy=LinkPolicy.DYNAMIC)
+        changes = {}
         if sample_time is not None:
-            controllers = replace(controllers, link_sample_time=sample_time)
+            changes["link_sample_time"] = sample_time
         if switch_time is not None:
-            controllers = replace(controllers, link_switch_time=switch_time)
-        return replace(config, controllers=controllers)
+            changes["link_switch_time"] = switch_time
+        return _with_controllers(config, **changes) if changes else config
 
     def config_doubled_link(self) -> SystemConfig:
         """Figure 6's red upper bound: statically doubled link bandwidth."""
-        return replace(self.base_config(), link_policy=LinkPolicy.DOUBLED)
+        return _derived(self.base_config(), link_policy=LinkPolicy.DOUBLED)
 
     def config_combined(self, n_sockets: int | None = None) -> SystemConfig:
         """The full NUMA-aware GPU: dynamic links + NUMA-aware caches."""
-        return replace(
+        return _derived(
             self.base_config(n_sockets),
             cache_arch=CacheArch.NUMA_AWARE,
             link_policy=LinkPolicy.DYNAMIC,
@@ -128,7 +167,7 @@ class ExperimentContext:
             self.config_combined(n_sockets) if combined
             else self.base_config(n_sockets)
         )
-        return replace(
+        return _derived(
             base, topology=build_topology(kind, base.n_sockets, base.link)
         )
 
@@ -146,36 +185,38 @@ class ExperimentContext:
         ``placement`` / ``cta`` are :mod:`repro.locality` registry kinds;
         ``kind`` optionally puts the system on a named multi-hop
         topology (as :meth:`config_topology`); ``placement_params``
-        forwards tuning knobs (``touch_window``,
-        ``migration_threshold``, ``max_migrations_per_page``) to the
-        :class:`~repro.locality.spec.PlacementSpec`. The distance-blind
+        forwards tuning knobs (:data:`PLACEMENT_KNOBS`) to the
+        :class:`~repro.locality.spec.PlacementSpec`, and any other name
+        raises :class:`~repro.errors.ConfigError`. The distance-blind
         ``first_touch`` / ``contiguous`` baseline of a locality experiment
         is the same config as plain :meth:`config_topology` /
         :meth:`base_config`, so baseline runs share the result cache with
         the topology sweep.
         """
+        unknown = sorted(set(placement_params) - PLACEMENT_KNOBS)
+        if unknown:
+            raise ConfigError(
+                f"unknown placement parameter(s) {unknown}; "
+                f"known: {sorted(PLACEMENT_KNOBS)}"
+            )
         if kind is not None:
             base = self.config_topology(kind, n_sockets, combined=combined)
         elif combined:
             base = self.config_combined(n_sockets)
         else:
             base = self.base_config(n_sockets)
-        return replace(
-            base,
-            placement_spec=PlacementSpec(kind=placement, **placement_params),
-            cta_spec=CtaSpec(kind=cta),
-        )
+        return _with_policies(base, placement, cta, **placement_params)
 
     def config_no_invalidations(self) -> SystemConfig:
         """Figure 9's hypothetical: coherence invalidations ignored."""
-        return replace(
+        return _derived(
             self.config_cache(CacheArch.NUMA_AWARE),
             coherence_invalidations=False,
         )
 
     def config_write_through(self) -> SystemConfig:
         """Section 5.2 sensitivity: write-through L2."""
-        return replace(
+        return _derived(
             self.config_cache(CacheArch.NUMA_AWARE),
             l2_write_policy=WritePolicy.WRITE_THROUGH,
         )

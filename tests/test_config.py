@@ -360,8 +360,10 @@ def test_every_config_field_changes_the_digest():
 def test_digest_is_stable_and_order_free():
     from repro.config import config_digest, config_fingerprint
 
-    a = paper_config()
-    b = paper_config()
+    # Two separately built objects: ``paper_config`` itself is memoized.
+    a = paper_config.__wrapped__()
+    b = paper_config.__wrapped__()
+    assert a is not b
     assert config_fingerprint(a) == config_fingerprint(b)
     assert config_digest(a) == config_digest(b)
     assert isinstance(hash(config_fingerprint(a)), int)
@@ -535,6 +537,248 @@ def test_memoized_builders_key_on_identity_not_equality():
     assert type(a.edges[0].link.lane_bandwidth) is int
     assert type(b.edges[0].link.lane_bandwidth) is float
     assert repr(config_fingerprint(a)) != repr(config_fingerprint(b))
+
+
+def test_memoized_builder_drops_the_least_recently_used_result():
+    """A full memo evicts by recency, so a pass whose results fit is
+    never rebuilt by its repeat, whatever filled the memo before it."""
+    from repro.config import BUILDER_MEMO_SIZE, memoized_builder
+
+    calls = []
+
+    @memoized_builder
+    def build(n):
+        calls.append(n)
+        return object()
+
+    first = [build(n) for n in range(BUILDER_MEMO_SIZE)]
+    assert build(0) is first[0]  # a hit makes 0 the most recently used
+    build(BUILDER_MEMO_SIZE)  # the memo is full: 1 is dropped
+    calls.clear()
+    assert build(0) is first[0]
+    assert build(2) is first[2]
+    assert calls == []
+    assert build(1) is not first[1]
+    assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# shared context configs
+# ---------------------------------------------------------------------------
+
+def _context_cases():
+    """``(method, args, kwargs, reference)`` for every context config.
+
+    ``reference(base)`` builds the same config from a memo-free scaled
+    base with plain ``dataclasses.replace`` calls and fresh sub-trees,
+    the way the harness built every config before configs were shared,
+    so equal digests mean unchanged disk-cache keys. ``base(n)`` is that
+    fresh base at ``n`` sockets (``None``: the context's own).
+    """
+    from dataclasses import replace
+
+    from repro.config import CacheArch, LinkPolicy, WritePolicy
+    from repro.locality.spec import (
+        CTA_KINDS, PLACEMENT_KINDS, CtaSpec, PlacementSpec,
+    )
+    from repro.topology.spec import BUILDERS, build_topology
+
+    def combined(base):
+        return replace(base, cache_arch=CacheArch.NUMA_AWARE,
+                       link_policy=LinkPolicy.DYNAMIC)
+
+    def topology(config, kind):
+        return replace(config, topology=build_topology.__wrapped__(
+            kind, config.n_sockets, config.link))
+
+    def policies(config, placement, cta, **params):
+        return replace(config,
+                       placement_spec=PlacementSpec(kind=placement, **params),
+                       cta_spec=CtaSpec(kind=cta))
+
+    def dynamic(config, **changes):
+        config = replace(config, link_policy=LinkPolicy.DYNAMIC)
+        return replace(config,
+                       controllers=replace(config.controllers, **changes))
+
+    numa = lambda b: replace(b(None), cache_arch=CacheArch.NUMA_AWARE)  # noqa: E731
+    cases = [
+        ("config_single_gpu", (), {}, lambda b: single_gpu_config(b(None))),
+        ("config_traditional", (), {},
+         lambda b: policies(b(None), "fine_interleave", "interleaved")),
+        ("config_locality", (), {}, lambda b: b(None)),
+        ("config_locality", (2,), {}, lambda b: b(2)),
+        ("config_doubled_link", (), {},
+         lambda b: replace(b(None), link_policy=LinkPolicy.DOUBLED)),
+        ("config_combined", (), {}, lambda b: combined(b(None))),
+        ("config_combined", (8,), {}, lambda b: combined(b(8))),
+        ("config_no_invalidations", (), {},
+         lambda b: replace(numa(b), coherence_invalidations=False)),
+        ("config_write_through", (), {},
+         lambda b: replace(numa(b),
+                           l2_write_policy=WritePolicy.WRITE_THROUGH)),
+    ]
+    cases += [("config_hypothetical", (factor,), {},
+               lambda b, f=factor: hypothetical_config(b(None), f))
+              for factor in (1, 2, 4)]
+    cases += [("config_cache", (arch,), {},
+               lambda b, a=arch: replace(b(None), cache_arch=a))
+              for arch in CacheArch]
+    for sample, switch in ((None, None), (1000, None), (None, 10),
+                           (500, 500)):
+        changes = {}
+        if sample is not None:
+            changes["link_sample_time"] = sample
+        if switch is not None:
+            changes["link_switch_time"] = switch
+        cases.append(("config_dynamic_link", (sample, switch), {},
+                      lambda b, c=changes: dynamic(b(None), **c)))
+    for kind in BUILDERS:
+        for n, with_combined in ((None, False), (8, False), (4, True)):
+            cases.append((
+                "config_topology", (kind, n), {"combined": with_combined},
+                lambda b, k=kind, n=n, c=with_combined: topology(
+                    combined(b(n)) if c else b(n), k),
+            ))
+    for placement in PLACEMENT_KINDS:
+        for cta in CTA_KINDS:
+            cases.append(("config_locality_policy", (placement, cta), {},
+                          lambda b, p=placement, c=cta: policies(
+                              b(None), p, c)))
+    knobs = {"touch_window": 16, "migration_threshold": 8,
+             "max_migrations_per_page": 3, "read_shared_filter": False}
+    for kind in BUILDERS:
+        cases.append((
+            "config_locality_policy",
+            ("access_counter_migration", "distance_affine"),
+            {"kind": kind, "n_sockets": 8, **knobs},
+            lambda b, k=kind: policies(
+                topology(b(8), k), "access_counter_migration",
+                "distance_affine", **knobs),
+        ))
+    cases.append((
+        "config_locality_policy", ("distance_weighted_first_touch",
+                                   "contiguous"),
+        {"combined": True, "touch_window": 8},
+        lambda b: policies(combined(b(None)),
+                           "distance_weighted_first_touch", "contiguous",
+                           touch_window=8),
+    ))
+    cases.append((
+        "config_locality_policy", ("first_touch", "distance_affine"),
+        {"kind": "ring", "combined": True},
+        lambda b: policies(topology(combined(b(None)), "ring"),
+                           "first_touch", "distance_affine"),
+    ))
+    return cases
+
+
+def test_context_cases_cover_every_config_method():
+    from repro.harness.runner import ExperimentContext
+
+    methods = {name for name in vars(ExperimentContext)
+               if name.startswith("config_")}
+    assert methods == {method for method, *_ in _context_cases()}
+
+
+@pytest.mark.parametrize("sms", [64, 2], ids=["paper", "scaled"])
+@pytest.mark.parametrize("n_sockets", [2, 4, 8])
+def test_context_configs_are_shared_frozen_and_keep_their_digest(
+        sms, n_sockets):
+    """Every context config is one shared, deeply immutable object whose
+    digest (the disk-cache key) is that of a memo-free build."""
+    from repro.config import _canonical, config_digest
+    from repro.harness.runner import ExperimentContext
+
+    def fresh_base(n):
+        return scaled_config.__wrapped__(
+            n_sockets=n_sockets if n is None else n, sms_per_socket=sms)
+
+    ctx = ExperimentContext(n_sockets=n_sockets, sms_per_socket=sms)
+    twin = ExperimentContext(n_sockets=n_sockets, sms_per_socket=sms)
+    for method, args, kwargs, reference in _context_cases():
+        label = f"{method}{args}{kwargs}"
+        config = getattr(ctx, method)(*args, **kwargs)
+        assert getattr(ctx, method)(*args, **kwargs) is config, label
+        assert getattr(twin, method)(*args, **kwargs) is config, label
+        assert _canonical(config)[1] is True, label
+        expected = reference(fresh_base)
+        assert config == expected, label
+        assert config_digest(config) == _reference_digest(expected), label
+
+
+def test_contexts_of_other_sizes_share_no_config():
+    from repro.config import config_digest
+    from repro.harness.runner import ExperimentContext
+
+    small = ExperimentContext(sms_per_socket=2)
+    large = ExperimentContext(sms_per_socket=4)
+    for method, args, kwargs, _ in _context_cases():
+        a = getattr(small, method)(*args, **kwargs)
+        b = getattr(large, method)(*args, **kwargs)
+        assert a is not b, f"{method}{args}{kwargs}"
+        assert config_digest(a) != config_digest(b), f"{method}{args}"
+
+
+# ---------------------------------------------------------------------------
+# controller and link validation
+# ---------------------------------------------------------------------------
+
+def _context():
+    from repro.harness.runner import ExperimentContext
+
+    return ExperimentContext()
+
+
+def test_zero_link_sample_time_is_rejected():
+    # It used to re-arm the link balancer at delay 0: the run never ended.
+    with pytest.raises(ConfigError, match="link_sample_time must be >= 1"):
+        _context().config_dynamic_link(sample_time=0)
+
+
+def test_negative_link_sample_time_is_rejected():
+    with pytest.raises(ConfigError, match="link_sample_time must be >= 1"):
+        _context().config_dynamic_link(sample_time=-5)
+
+
+def test_negative_cache_sample_time_is_rejected():
+    with pytest.raises(ConfigError, match="cache_sample_time must be >= 1"):
+        ControllerConfig(cache_sample_time=-1)
+
+
+def test_negative_link_switch_time_is_rejected():
+    with pytest.raises(ConfigError, match="link_switch_time must be >= 0"):
+        _context().config_dynamic_link(switch_time=-10)
+
+
+def test_saturation_threshold_above_one_is_rejected():
+    with pytest.raises(ConfigError, match="saturation_threshold"):
+        ControllerConfig(saturation_threshold=2.0)
+
+
+def test_zero_saturation_threshold_is_rejected():
+    with pytest.raises(ConfigError, match="saturation_threshold"):
+        ControllerConfig(saturation_threshold=0.0)
+
+
+def test_negative_link_latency_is_rejected():
+    with pytest.raises(ConfigError, match="link latency must be >= 0"):
+        LinkConfig(latency=-50)
+
+
+def test_unknown_placement_parameter_is_rejected():
+    with pytest.raises(ConfigError, match=(
+            r"unknown placement parameter\(s\) \['bogus'\]; known: "
+            r"\['max_migrations_per_page', 'migration_threshold', "
+            r"'read_shared_filter', 'touch_window'\]")):
+        _context().config_locality_policy("first_touch", bogus=3)
+
+
+def test_controller_boundaries_are_accepted():
+    ctl = ControllerConfig(link_sample_time=1, cache_sample_time=1,
+                           link_switch_time=0, saturation_threshold=1.0)
+    assert (ctl.link_sample_time, ctl.link_switch_time) == (1, 0)
+    assert LinkConfig(latency=0).latency == 0
 
 
 # ---------------------------------------------------------------------------

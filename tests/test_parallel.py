@@ -115,39 +115,87 @@ def test_planning_context_runs_nothing(ctx):
     assert all(r.traditional == 1.0 for r in result.rows)
 
 
-def test_warm_sweep_walks_each_config_at_most_once(ctx, monkeypatch):
+class ConfigCensus:
+    """Counts the config work done while installed.
+
+    ``walks`` maps ``id`` to ``[config, count]`` for every
+    ``SystemConfig`` walked without an identity memo (the config is kept
+    alive so an id is never reused), ``sub_walks`` names the shared
+    sub-tree types walked so, ``builds`` counts ``SystemConfig``
+    constructions and ``replaces`` the ``dataclasses.replace`` calls of
+    the modules that derive configs.
+    """
+
+    def __init__(self, monkeypatch):
+        import dataclasses
+
+        from repro import config as config_mod
+        from repro.harness import runner as runner_mod
+        from repro.topology import spec as spec_mod
+
+        self.walks: dict[int, list] = {}
+        self.sub_walks: list[str] = []
+        self.builds = 0
+        self.replaces = 0
+        shared = (config_mod.GpuConfig, config_mod.CacheConfig,
+                  config_mod.LinkConfig, config_mod.ControllerConfig,
+                  spec_mod.TopologySpec)
+        system = config_mod.SystemConfig
+        real_canonical = config_mod._canonical
+        real_post_init = system.__post_init__
+        real_replace = dataclasses.replace
+
+        def canonical(value):
+            if config_mod._CANONICAL_MEMO not in getattr(value, "__dict__",
+                                                         {}):
+                if type(value) is system:
+                    self.walks.setdefault(id(value), [value, 0])[1] += 1
+                elif type(value) in shared:
+                    self.sub_walks.append(type(value).__name__)
+            return real_canonical(value)
+
+        def post_init(config):
+            self.builds += 1
+            real_post_init(config)
+
+        def replace(obj, /, **changes):
+            self.replaces += 1
+            return real_replace(obj, **changes)
+
+        monkeypatch.setattr(config_mod, "_canonical", canonical)
+        monkeypatch.setattr(system, "__post_init__", post_init)
+        for module in (dataclasses, config_mod, runner_mod, spec_mod):
+            monkeypatch.setattr(module, "replace", replace)
+
+    def reset(self) -> None:
+        self.walks.clear()
+        self.sub_walks.clear()
+        self.builds = self.replaces = 0
+
+
+def test_warm_sweep_walks_each_config_at_most_once(monkeypatch):
     """Capture, seed, prewarm and reduce a fully cached sweep, twice.
 
-    Every step keys the result cache by the config's identity; the memo
-    on the frozen config means each distinct config object has its tree
-    walked at most once, however many steps key it. A second sweep in a
-    fresh context gets its sub-trees from the memoized builders, so it
-    walks none of them again.
+    Every context config is a shared frozen object from a memoized
+    builder, so the plan capture and the reduction key the *same*
+    objects: the first sweep walks each distinct plan config once and
+    nothing else, and a second sweep in a fresh context builds, derives
+    and walks no config at all. The contexts use a system size no other
+    test builds, so the first sweep's configs are new to this process;
+    the scaled base the builders key on is digested up front.
     """
-    from repro import config as config_mod
+    from repro.config import config_digest
     from repro.harness import runner as runner_mod
     from repro.harness.parallel import _stub_result
-    from repro.topology.spec import TopologySpec
-
-    shared = (config_mod.GpuConfig, config_mod.CacheConfig,
-              config_mod.LinkConfig, config_mod.ControllerConfig,
-              TopologySpec)
-    real = config_mod._canonical
-    walks: dict[int, list] = {}  # id -> [config (kept alive), count]
-    sub_walks: list[str] = []
-
-    def counting(value):
-        if config_mod._CANONICAL_MEMO not in getattr(value, "__dict__", {}):
-            if type(value) is config_mod.SystemConfig:
-                walks.setdefault(id(value), [value, 0])[1] += 1
-            elif type(value) in shared:
-                sub_walks.append(type(value).__name__)
-        return real(value)
 
     def no_simulation(*args, **kwargs):
         raise AssertionError("a warm sweep must not simulate")
 
-    monkeypatch.setattr(config_mod, "_canonical", counting)
+    def context():
+        return ExperimentContext(sms_per_socket=3, scale=MICRO)
+
+    config_digest(context().base_config())
+    census = ConfigCensus(monkeypatch)
     monkeypatch.setattr(runner_mod, "run_workload_on", no_simulation)
     driver = lambda c: exp.locality_sweep(  # noqa: E731
         c, workloads=SUBSET, kinds=("ring",), socket_counts=(4,))
@@ -164,16 +212,37 @@ def test_warm_sweep_walks_each_config_at_most_once(ctx, monkeypatch):
         driver(context)
         return plan
 
-    plan = cached_sweep(ctx)
-    # Plan configs are walked once at capture, the reduction's fresh
-    # configs once each; nothing is walked twice.
-    assert len(walks) >= len({id(task.config) for task in plan})
-    assert max(count for _, count in walks.values()) == 1
-    walks.clear()
-    sub_walks.clear()
-    cached_sweep(ExperimentContext(sms_per_socket=2, scale=MICRO))
-    assert walks and max(count for _, count in walks.values()) == 1
-    assert sub_walks == []
+    plan = cached_sweep(context())
+    plan_configs = {id(task.config) for task in plan}
+    assert set(census.walks) == plan_configs
+    assert max(count for _, count in census.walks.values()) == 1
+    census.reset()
+    again = cached_sweep(context())
+    assert [task.config for task in again] == [task.config for task in plan]
+    assert {id(task.config) for task in again} == plan_configs
+    assert census.walks == {}
+    assert census.sub_walks == []
+    assert (census.builds, census.replaces) == (0, 0)
+
+
+def test_builder_memos_hold_a_whole_suite(monkeypatch):
+    """``run_all``'s whole plan, captured again in a fresh context,
+    builds and walks no config: no builder memo drops an entry partway
+    through a suite, whatever earlier captures left in it."""
+    from repro.config import BUILDER_MEMO_SIZE
+    from repro.workloads.spec import TINY
+
+    first = capture_plan(ExperimentContext(scale=TINY), [exp.run_all])
+    configs = {id(task.config) for task in first}
+    assert len(configs) < BUILDER_MEMO_SIZE < len(first)
+    census = ConfigCensus(monkeypatch)
+    second = capture_plan(ExperimentContext(scale=TINY), [exp.run_all])
+    assert [task.config for task in second] == [
+        task.config for task in first]
+    assert {id(task.config) for task in second} == configs
+    assert census.walks == {}
+    assert census.sub_walks == []
+    assert (census.builds, census.replaces) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +523,48 @@ def test_disk_cache_hit_encodes_nothing(tmp_path, ctx, monkeypatch):
     monkeypatch.setattr(json, "dumps", no_encode)
     assert cache.get("Lonestar-SP", MICRO.name, False, config) == result
     assert (cache.hits, cache.corrupt) == (1, 0)
+
+
+def test_disk_cache_header_is_the_json_envelope(tmp_path, ctx):
+    """``put`` still writes ``json.dumps({"v": 2, "checksum": ...})``."""
+    import hashlib
+    import json
+
+    cache = ResultDiskCache(tmp_path)
+    config = ctx.config_single_gpu()
+    result = ctx.run("Lonestar-SP", config)
+    path = cache.put("Lonestar-SP", MICRO.name, False, config, result)
+    header, body = path.read_bytes().split(b"\n", 1)
+    checksum = hashlib.sha256(body).hexdigest()
+    assert header == json.dumps({"v": 2, "checksum": checksum}).encode()
+
+
+@pytest.mark.parametrize("change", ["extra", "missing", "not_object"])
+def test_disk_cache_bad_stats_record_is_quarantined(tmp_path, ctx, change):
+    """A checksummed payload whose socket record has the wrong fields
+    fails reconstruction, so the entry is quarantined, not returned."""
+    import hashlib
+    import json
+
+    from repro.harness.diskcache import envelope_header
+
+    cache = ResultDiskCache(tmp_path)
+    config = ctx.config_single_gpu()
+    result = ctx.run("Lonestar-SP", config)
+    path = cache.put("Lonestar-SP", MICRO.name, False, config, result)
+    payload = result_to_json_dict(result)
+    if change == "extra":
+        payload["sockets"][0]["bogus"] = 1
+    elif change == "missing":
+        del payload["sockets"][0]["flushes"]
+    else:
+        payload["sockets"][0] = 7
+    body = json.dumps(payload).encode()
+    path.write_bytes(envelope_header(hashlib.sha256(body).hexdigest())
+                     + b"\n" + body)
+    assert cache.get("Lonestar-SP", MICRO.name, False, config) is None
+    assert cache.corrupt == 1
+    assert path.with_suffix(".corrupt").exists()
 
 
 def test_disk_cache_pre_envelope_entry_is_quarantined(tmp_path, ctx):
