@@ -40,7 +40,7 @@ from repro.analysis.core import HOT_MARK_RE, FileContext, LintChecker
 
 #: Declared hot functions: module path suffix -> dotted-name patterns.
 #: These are the paths the BENCH history gates: the fused issue loop,
-#: the pooled miss walkers, the engine drain, and translation.
+#: the pooled miss walkers, the engine insert and drain, and translation.
 HOT_FUNCTIONS: dict[str, tuple[str, ...]] = {
     "repro/gpu/socket.py": (
         "GpuSocket.access_burst",
@@ -48,6 +48,7 @@ HOT_FUNCTIONS: dict[str, tuple[str, ...]] = {
     ),
     "repro/sim/path.py": ("ReadPath.*", "WritePath.*"),
     "repro/sim/engine.py": (
+        "Engine.push",
         "Engine.run",
         "Engine._run_unbounded",
         "Engine._migrate_window",

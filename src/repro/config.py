@@ -96,10 +96,20 @@ class CacheConfig:
     def __post_init__(self) -> None:
         if self.ways < 1:
             raise ConfigError("cache needs at least 1 way")
-        if self.capacity_bytes % (self.ways * self.line_size):
+        if self.line_size < 1:
+            raise ConfigError(f"cache line_size must be >= 1, got {self.line_size}")
+        if self.capacity_bytes < 1 or self.capacity_bytes % (
+            self.ways * self.line_size
+        ):
             raise ConfigError(
-                f"capacity {self.capacity_bytes} not divisible by "
+                f"capacity {self.capacity_bytes} not a positive multiple of "
                 f"ways*line ({self.ways}*{self.line_size})"
+            )
+        # A negative hit latency would queue a hit's completion before
+        # the probe that found it.
+        if self.hit_latency < 0:
+            raise ConfigError(
+                f"cache hit_latency must be >= 0, got {self.hit_latency}"
             )
 
     @property
@@ -161,6 +171,27 @@ class GpuConfig:
     dram_latency: int = 100  # cycles (100 ns at 1 GHz)
     noc_bandwidth: float = 2048.0  # bytes/cycle, intentionally generous
     noc_latency: int = 10
+
+    def __post_init__(self) -> None:
+        # A socket with no SM, CTA slot or issue slot never finishes a
+        # kernel; a bandwidth of 0 never finishes a transfer.
+        for name in ("sms", "ctas_per_sm", "max_outstanding_per_sm",
+                     "mlp_per_cta"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"gpu.{name} must be >= 1, got {getattr(self, name)}"
+                )
+        for name in ("dram_bandwidth", "noc_bandwidth"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(
+                    f"gpu.{name} must be > 0 bytes/cycle, "
+                    f"got {getattr(self, name)}"
+                )
+        for name in ("dram_latency", "noc_latency"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"gpu.{name} must be >= 0 cycles, got {getattr(self, name)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -238,6 +269,17 @@ class SystemConfig:
             raise ConfigError("need at least one socket")
         if self.interleave_granularity < LINE_SIZE:
             raise ConfigError("interleave granularity below line size")
+        for name in ("migration_latency", "kernel_launch_latency"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"{name} must be >= 0 cycles, got {getattr(self, name)}"
+                )
+        line = self.gpu.l2.line_size
+        if self.page_size < 1 or self.page_size % line:
+            raise ConfigError(
+                f"page_size must be a positive multiple of the {line}-byte "
+                f"line, got {self.page_size}"
+            )
         for name, spec_type in (("placement_spec", "PlacementSpec"),
                                 ("cta_spec", "CtaSpec")):
             value = getattr(self, name)

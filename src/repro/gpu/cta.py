@@ -102,7 +102,7 @@ class CtaExecution:
         self._compute_pending = False
         self._done = False
         # Prebound once: the compute-done event is scheduled per slice
-        # through the engine's zero-argument fast path.
+        # with no bound arguments.
         self._compute_cb = self._compute_done
 
     def start(self) -> None:
@@ -127,7 +127,7 @@ class CtaExecution:
         self._op_idx = 0
         self._outstanding = 0
         self._compute_pending = True
-        self.engine.schedule_call(current.compute_cycles, self._compute_cb)
+        self.engine.schedule(current.compute_cycles, self._compute_cb)
         self._issue_ops()
 
     def _issue_ops(self) -> None:

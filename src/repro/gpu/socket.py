@@ -50,7 +50,7 @@ from repro.memory.coherence import CoherenceDomain, FlushResult
 from repro.memory.dram import DramChannel
 from repro.memory.page_table import PageTable
 from repro.obs.hooks import NOOP, register
-from repro.sim.engine import RING_MASK, RING_SIZE, Engine
+from repro.sim.engine import Engine
 from repro.sim.path import ReadPath, WritePath, release_walkers
 from repro.sim.resource import BandwidthResource
 from repro.sim.stats import StatGroup, flatten_slots
@@ -409,11 +409,7 @@ class GpuSocket:
         noc_latency = self.noc_latency
         engine = self.engine
         now = engine.now
-        ring = engine._ring
-        ovf = engine._overflow_push
-        horizon = now + RING_SIZE
-        n_ring_new = 0
-        n_pending = 0
+        push = engine.push
         # NoC server state batched in locals for the whole burst: the NoC
         # is only ever admitted from this loop and only read by stats
         # after the run, and the burst runs inside one engine event, so
@@ -509,20 +505,7 @@ class GpuSocket:
                 wp.home_id = home
                 wp.is_local = is_local
                 wp.on_done = on_done
-                # Inlined Engine.schedule_call_at (calendar-ring insert).
-                t = begin + noc_latency + migration_extra
-                if t < horizon:
-                    slot = t & RING_MASK
-                    bucket = ring[slot]
-                    if bucket is None:
-                        # A new time bucket is necessarily a fresh list.
-                        ring[slot] = [wp.st_l2]  # repro-lint: disable=hot-path-alloc
-                        n_ring_new += 1
-                    else:
-                        bucket.append(wp.st_l2)
-                else:
-                    ovf(t, wp.st_l2)
-                n_pending += 1
+                push(begin + noc_latency + migration_extra, wp.st_l2)
                 n_async += 1
                 continue
             # Inlined l1.lookup(line) — the single hottest statement of
@@ -625,28 +608,11 @@ class GpuSocket:
             rp.w_sm = sm_index
             rp.w_cb = on_done
             rec.rp = rp
-            # Inlined Engine.schedule_call_at (calendar-ring insert).
-            t = begin + noc_latency + migration_extra
-            if t < horizon:
-                slot = t & RING_MASK
-                bucket = ring[slot]
-                if bucket is None:
-                    # A new time bucket is necessarily a fresh list.
-                    ring[slot] = [rp.st_l2]  # repro-lint: disable=hot-path-alloc
-                    n_ring_new += 1
-                else:
-                    bucket.append(rp.st_l2)
-            else:
-                ovf(t, rp.st_l2)
-            n_pending += 1
+            push(begin + noc_latency + migration_extra, rp.st_l2)
         if noc_transfers:
             noc._next_free = noc_next_free
             noc._bytes_total += DATA_BYTES * noc_transfers
             noc._transfers += noc_transfers
-        if n_pending:
-            engine._pending += n_pending
-        if n_ring_new:
-            engine._ring_items += n_ring_new
         self.n_local_accesses += n_local
         self.n_remote_accesses += n_remote
         l1.n_read_hits += n_hits
@@ -798,11 +764,7 @@ class LocalGpuSocket(GpuSocket):
         noc_latency = self.noc_latency
         engine = self.engine
         now = engine.now
-        ring = engine._ring
-        ovf = engine._overflow_push
-        horizon = now + RING_SIZE
-        n_ring_new = 0
-        n_pending = 0
+        push = engine.push
         # NoC batching contract as in the base burst (single event).
         noc = self.noc
         noc_next_free = noc._next_free
@@ -852,19 +814,7 @@ class LocalGpuSocket(GpuSocket):
                 wp.home_id = socket_id
                 wp.is_local = True
                 wp.on_done = on_done
-                t = begin + noc_latency
-                if t < horizon:
-                    slot = t & RING_MASK
-                    bucket = ring[slot]
-                    if bucket is None:
-                        # A new time bucket is necessarily a fresh list.
-                        ring[slot] = [wp.st_l2]  # repro-lint: disable=hot-path-alloc
-                        n_ring_new += 1
-                    else:
-                        bucket.append(wp.st_l2)
-                else:
-                    ovf(t, wp.st_l2)
-                n_pending += 1
+                push(begin + noc_latency, wp.st_l2)
                 n_async += 1
                 continue
             way = l1_get(line)
@@ -916,27 +866,11 @@ class LocalGpuSocket(GpuSocket):
             rp.w_sm = sm_index
             rp.w_cb = on_done
             rec.rp = rp
-            t = begin + noc_latency
-            if t < horizon:
-                slot = t & RING_MASK
-                bucket = ring[slot]
-                if bucket is None:
-                    # A new time bucket is necessarily a fresh list.
-                    ring[slot] = [rp.st_l2]  # repro-lint: disable=hot-path-alloc
-                    n_ring_new += 1
-                else:
-                    bucket.append(rp.st_l2)
-            else:
-                ovf(t, rp.st_l2)
-            n_pending += 1
+            push(begin + noc_latency, rp.st_l2)
         if noc_transfers:
             noc._next_free = noc_next_free
             noc._bytes_total += DATA_BYTES * noc_transfers
             noc._transfers += noc_transfers
-        if n_pending:
-            engine._pending += n_pending
-        if n_ring_new:
-            engine._ring_items += n_ring_new
         self.n_local_accesses += i - start
         l1.n_read_hits += n_hits
         self.n_l1_hits += n_hits

@@ -14,6 +14,7 @@ import time
 from repro.config import CacheArch, SystemConfig
 from repro.core.link_policy import build_balancers
 from repro.core.numa_cache import CachePartitionController
+from repro.errors import SimulationError
 from repro.gpu.socket import make_socket
 from repro.locality.cta import build_cta_policy
 from repro.locality.distance import DistanceModel
@@ -182,7 +183,13 @@ class NumaGpuSystem:
             self._drain()
         finally:
             self._obs_disable()
-        assert self._launcher.finished, "engine drained before kernels completed"
+        if not self._launcher.finished:
+            # An explicit error, not an assert: ``python -O`` strips
+            # asserts, and a stuck drain must never report a result.
+            raise SimulationError(
+                "engine drained before kernels completed: "
+                + self._launcher.unfinished_report()
+            )
         return collect_results(self, workload_name)
 
     def _drain(self) -> None:

@@ -233,8 +233,12 @@ class PageTable:
         MSHR state (the in-flight read completes at its already-resolved
         home, as it always did) but lose the settled home; records with
         no in-flight fetch are removed outright. Matching L1 frame hints
-        are cleared alongside.
+        are cleared alongside. Under a policy that is not
+        :attr:`cacheable`, sockets never settle a record or a hint, so
+        there is nothing to drop and no dict is probed.
         """
+        if not self.cacheable:
+            return 0
         first_line = page * self._lines_per_page
         last_line = first_line + self._lines_per_page
         removed = 0

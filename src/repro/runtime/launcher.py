@@ -67,7 +67,8 @@ class Launcher:
         self.stats = StatGroup("launcher")
         self.kernel_launch_times: list[int] = []
         self._kernel_idx = -1
-        self._sockets_pending = 0
+        #: socket id -> CTAs assigned to its unfinished sub-kernel.
+        self._pending_ctas: dict[int, int] = {}
         self._finished = False
 
     def begin(self) -> None:
@@ -78,6 +79,18 @@ class Launcher:
     def finished(self) -> bool:
         """True once every kernel has completed."""
         return self._finished
+
+    def unfinished_report(self) -> str:
+        """Where an unfinished launcher stopped: the kernel it waits on and
+        the CTAs of each sub-kernel that never reported done."""
+        if self._kernel_idx < 0:
+            return "no kernel was launched"
+        kernel = self.kernels[self._kernel_idx]
+        return (
+            f"kernel {kernel.name!r} ({self._kernel_idx + 1} of "
+            f"{len(self.kernels)}) never completed; pending CTAs by "
+            f"socket: {self._pending_ctas}"
+        )
 
     # ------------------------------------------------------------------
     # launch loop
@@ -102,13 +115,14 @@ class Launcher:
         if self.on_kernel_launch is not None:
             self.on_kernel_launch(self._kernel_idx)
         blocks = self.cta_policy.assign(kernel.n_ctas, self.sockets, kernel)
-        self._sockets_pending = 0
         populated = [
             (socket, block)
             for socket, block in zip(self.sockets, blocks)
             if block
         ]
-        self._sockets_pending = len(populated)
+        self._pending_ctas = {
+            socket.socket_id: len(block) for socket, block in populated
+        }
         _obs_kernel_launch(self._kernel_idx, kernel.name, self.engine.now, populated)
         if not populated:
             self.engine.schedule(self.launch_latency, self._launch_next)
@@ -119,7 +133,7 @@ class Launcher:
 
     def _subkernel_done(self, socket_id: int) -> None:
         _obs_subkernel_done(socket_id, self.engine.now)
-        self._sockets_pending -= 1
-        if self._sockets_pending == 0:
+        del self._pending_ctas[socket_id]
+        if not self._pending_ctas:
             self.stats.add("kernels_completed")
             self.engine.schedule(self.launch_latency, self._launch_next)

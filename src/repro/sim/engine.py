@@ -36,25 +36,22 @@ time, including events appended to the *current* timestamp mid-drain.
 unbounded call and a guarded loop for ``until``/``max_events`` runs;
 both drain in the same order.
 
-Bucket entries come in two shapes (the fused miss pipeline relies on the
-second):
+Every bucket entry is a zero-argument callable, and the drain loops call
+it with no unpacking. :meth:`Engine.push` is the one insert path: an
+unchecked append for an int time ``>= now``, which the path walkers of
+:mod:`repro.sim.path` and the socket burst loops call once per hop.
+:meth:`schedule` / :meth:`schedule_at` validate their time, bind any
+``*args`` once with :func:`functools.partial`, and push. No module but
+this one knows the ring's layout.
 
-* ``(callback, args)`` tuples — the classic form built by
-  :meth:`schedule` / :meth:`schedule_at`;
-* bare zero-argument callables — appended by :meth:`schedule_call` /
-  :meth:`schedule_call_at`. The dispatch loop invokes them directly with
-  no tuple allocation at schedule time and no argument unpacking at
-  dispatch time. The per-hop steps of :mod:`repro.sim.path` walkers and
-  every ``on_done`` completion callback use this form.
-
-``pending_events`` is O(1): the engine maintains a running count —
-incremented on every schedule, decremented when events execute — instead
-of summing bucket lengths on each read.
+``pending_events`` counts the queued entries on demand (a walk of the
+ring and the overflow buckets); it is read only at quiescence.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Any, Callable
 
 from repro.errors import SchedulingError
@@ -80,6 +77,7 @@ class Engine:
     >>> eng.schedule(5, fired.append, "a")
     >>> eng.schedule(3, fired.append, "b")
     >>> eng.run()
+    5
     >>> fired
     ['b', 'a']
     >>> eng.now
@@ -93,14 +91,12 @@ class Engine:
         "_times",
         "now",
         "_events_processed",
-        "_pending",
         "_running",
     )
 
     def __init__(self) -> None:
         #: calendar ring: slot ``t & RING_MASK`` -> FIFO of entries at
-        #: ``t``, or None. The list object is allocated once and mutated
-        #: in place forever — hot callers cache a reference to it.
+        #: ``t``, or None.
         self._ring: list = [None] * RING_SIZE
         #: occupied ring slots (O(1) emptiness check for the drain loop).
         self._ring_items: int = 0
@@ -112,8 +108,6 @@ class Engine:
         #: hot paths; only the engine itself should ever write it.
         self.now: int = 0
         self._events_processed: int = 0
-        #: running count of queued events (O(1) ``pending_events``).
-        self._pending: int = 0
         self._running: bool = False
 
     @property
@@ -123,31 +117,43 @@ class Engine:
 
     @property
     def pending_events(self) -> int:
-        """Number of events waiting in the queue (O(1): running count)."""
-        return self._pending
+        """Number of events waiting in the queue (counted on demand)."""
+        queued = sum(len(bucket) for bucket in self._ring if bucket is not None)
+        return queued + sum(len(bucket) for bucket in self._buckets.values())
+
+    def push(self, time: int, fn: Callable[[], None]) -> None:
+        """Queue the zero-argument ``fn`` at absolute cycle ``time``.
+
+        The engine's one insert path, unchecked: ``time`` must be an int
+        no earlier than ``now``. Model code that computes its own times
+        (the path walkers, the burst loops) calls it directly; everything
+        else goes through :meth:`schedule` / :meth:`schedule_at`.
+        """
+        if time - self.now < RING_SIZE:
+            ring = self._ring
+            slot = time & RING_MASK
+            bucket = ring[slot]
+            if bucket is None:
+                # A new time bucket is necessarily a fresh list.
+                ring[slot] = [fn]  # repro-lint: disable=hot-path-alloc
+                self._ring_items += 1
+            else:
+                bucket.append(fn)
+        else:
+            bucket = self._buckets.get(time)
+            if bucket is None:
+                self._buckets[time] = [fn]
+                heapq.heappush(self._times, time)
+            else:
+                bucket.append(fn)
 
     def schedule(self, delay: int, callback: Callback, *args: Any) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SchedulingError(f"negative delay {delay} for {callback!r}")
-        delay = int(delay)
-        time = self.now + delay
-        if delay < RING_SIZE:
-            slot = time & RING_MASK
-            bucket = self._ring[slot]
-            if bucket is None:
-                self._ring[slot] = [(callback, args)]
-                self._ring_items += 1
-            else:
-                bucket.append((callback, args))
-        else:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [(callback, args)]
-                heapq.heappush(self._times, time)
-            else:
-                bucket.append((callback, args))
-        self._pending += 1
+        self.push(
+            self.now + int(delay), partial(callback, *args) if args else callback
+        )
 
     def schedule_at(self, time: int, callback: Callback, *args: Any) -> None:
         """Schedule ``callback(*args)`` at an absolute cycle ``time``."""
@@ -156,84 +162,7 @@ class Engine:
             raise SchedulingError(
                 f"event at t={time} is in the past (now={self.now})"
             )
-        if time - self.now < RING_SIZE:
-            slot = time & RING_MASK
-            bucket = self._ring[slot]
-            if bucket is None:
-                self._ring[slot] = [(callback, args)]
-                self._ring_items += 1
-            else:
-                bucket.append((callback, args))
-        else:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [(callback, args)]
-                heapq.heappush(self._times, time)
-            else:
-                bucket.append((callback, args))
-        self._pending += 1
-
-    def schedule_call(self, delay: int, fn: Callable[[], None]) -> None:
-        """Schedule a zero-argument callable ``delay`` cycles from now.
-
-        Fast-path form of :meth:`schedule`: the callable is appended to
-        the bucket directly, so no ``(callback, args)`` tuple is built
-        and the dispatch loop calls it without unpacking.
-        """
-        if delay < 0:
-            raise SchedulingError(f"negative delay {delay} for {fn!r}")
-        delay = int(delay)
-        time = self.now + delay
-        if delay < RING_SIZE:
-            slot = time & RING_MASK
-            bucket = self._ring[slot]
-            if bucket is None:
-                self._ring[slot] = [fn]
-                self._ring_items += 1
-            else:
-                bucket.append(fn)
-        else:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [fn]
-                heapq.heappush(self._times, time)
-            else:
-                bucket.append(fn)
-        self._pending += 1
-
-    def schedule_call_at(self, time: int, fn: Callable[[], None]) -> None:
-        """Schedule a zero-argument callable at an absolute cycle ``time``."""
-        time = int(time)
-        if time < self.now:
-            raise SchedulingError(
-                f"event at t={time} is in the past (now={self.now})"
-            )
-        if time - self.now < RING_SIZE:
-            slot = time & RING_MASK
-            bucket = self._ring[slot]
-            if bucket is None:
-                self._ring[slot] = [fn]
-                self._ring_items += 1
-            else:
-                bucket.append(fn)
-        else:
-            bucket = self._buckets.get(time)
-            if bucket is None:
-                self._buckets[time] = [fn]
-                heapq.heappush(self._times, time)
-            else:
-                bucket.append(fn)
-        self._pending += 1
-
-    def _overflow_push(self, time: int, entry: Any) -> None:
-        """Insert one entry into the overflow queue (``_pending`` is the
-        caller's responsibility — inlined hot paths batch the count)."""
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            self._buckets[time] = [entry]
-            heapq.heappush(self._times, time)
-        else:
-            bucket.append(entry)
+        self.push(time, partial(callback, *args) if args else callback)
 
     def _migrate_window(self) -> None:
         """Pull overflow buckets whose timestamps entered the ring window.
@@ -323,14 +252,9 @@ class Engine:
                             )
                         entry = bucket[consumed]
                         consumed += 1
-                        if type(entry) is tuple:
-                            callback, args = entry
-                            callback(*args)
-                        else:
-                            entry()
+                        entry()
                         events_this_run += 1
                         self._events_processed += 1
-                        self._pending -= 1
                 finally:
                     if consumed < len(bucket):
                         # Interrupted mid-bucket (budget exhausted or a
@@ -394,15 +318,11 @@ class Engine:
                     self._migrate_window()
                 try:
                     for entry in bucket:
-                        if type(entry) is tuple:
-                            callback, args = entry
-                            callback(*args)
-                        else:
-                            entry()
+                        entry()
                 except BaseException:
                     # Keep the whole bucket queued (the engine's queue is
-                    # not resumable after a model exception, but pending
-                    # accounting and peek_time stay consistent). If a
+                    # not resumable after a model exception, but
+                    # pending_events and peek_time stay consistent). If a
                     # callback re-opened this timestamp, merge in front.
                     slot = time & RING_MASK
                     reopened = ring[slot]
@@ -412,9 +332,7 @@ class Engine:
                     else:
                         ring[slot] = bucket + reopened
                     raise
-                n = len(bucket)
-                events += n
-                self._pending -= n
+                events += len(bucket)
         finally:
             self._events_processed += events
             self._running = False

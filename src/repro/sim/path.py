@@ -10,12 +10,14 @@ fresh walk of the socket's attribute chains in every handler.
 A :class:`ReadPath` / :class:`WritePath` *walker* replaces that chain.
 One pooled object carries the whole miss (line, NUMA class, home socket,
 quoted completion time) from issue to completion; each hop is a prebound
-zero-argument stage method appended directly into the engine's time
-bucket — no tuples, no per-hop allocation (walkers are recycled through a
-per-socket free list) — and the stage bodies inline the cache probes and
-closed-form bandwidth arithmetic, with every issuer-side invariant (the
-L2, its ``_where.get`` / ``fill_fast`` bound methods, latencies, the
-eviction-charge helper) cached on the walker at construction.
+zero-argument stage method queued through the engine's one insert path,
+:meth:`repro.sim.engine.Engine.push` (the walker caches the bound
+method; the ring's layout stays private to the engine) — no tuples, no
+per-hop allocation (walkers are recycled through a per-socket free list)
+— and the stage bodies inline the cache probes and closed-form bandwidth
+arithmetic, with every issuer-side invariant (the L2, its ``_where.get``
+/ ``fill_fast`` bound methods, latencies, the eviction-charge helper)
+cached on the walker at construction.
 
 Determinism contract (see DESIGN.md, "Fused miss pipeline")
 -----------------------------------------------------------
@@ -81,7 +83,6 @@ from __future__ import annotations
 from repro.interconnect.packets import CONTROL_BYTES, DATA_BYTES
 from repro.memory.cache import NumaClass
 from repro.obs.hooks import NOOP, register
-from repro.sim.engine import RING_MASK, RING_SIZE
 
 # Observability hook points (repro.obs.hooks): bare module globals,
 # rebound to tracer handlers at enable time. The disabled path is one
@@ -119,8 +120,7 @@ class ReadPath:
         "pool",
         "socket",
         "engine",
-        "ring",
-        "ovf",
+        "push",
         # Issuer-side invariants cached at construction (the pool is
         # per-socket, so these never change over the walker's lifetime).
         "socket_id",
@@ -169,10 +169,7 @@ class ReadPath:
         self.socket = socket
         engine = socket.engine
         self.engine = engine
-        # The ring list is allocated once and never rebound for the
-        # engine's lifetime, so caching it here is safe.
-        self.ring = engine._ring
-        self.ovf = engine._overflow_push
+        self.push = engine.push
         self.socket_id = socket.socket_id
         self.line_size = socket.line_size
         self.l2 = socket.l2
@@ -217,7 +214,6 @@ class ReadPath:
         s = self.socket
         line = self.line
         cls = self.cls
-        engine = self.engine
         if cls == 0 or self.holds_remote:
             # Inlined SetAssocCache.lookup (read probe): recency-list
             # touch, hit/miss counters — identical to lookup(line).
@@ -237,21 +233,7 @@ class ReadPath:
                 self.l2.n_read_hits += 1
                 s.n_l2_hits += 1
                 # Quote: pure-latency tail (L2 hit + NoC reply hop).
-                # Inlined Engine.schedule_call (calendar-ring insert).
-                now = engine.now
-                t = now + self.hit_tail
-                if t - now < RING_SIZE:
-                    ring = self.ring
-                    slot = t & RING_MASK
-                    bucket = ring[slot]
-                    if bucket is None:
-                        ring[slot] = [self.st_complete]
-                        engine._ring_items += 1
-                    else:
-                        bucket.append(self.st_complete)
-                else:
-                    self.ovf(t, self.st_complete)
-                engine._pending += 1
+                self.push(self.engine.now + self.hit_tail, self.st_complete)
                 return
             self.l2.n_read_misses += 1
         s.n_l2_misses += 1
@@ -263,7 +245,7 @@ class ReadPath:
             res = dram.resource
             nbytes = self.line_size
             next_free = res._next_free
-            now = engine.now
+            now = self.engine.now
             start = now if now > next_free else next_free
             duration = nbytes / res._rate
             next_free = start + duration
@@ -276,57 +258,21 @@ class ReadPath:
             whole = int(next_free)
             done = (whole if whole == next_free else whole + 1) + dram.latency
             self.t_complete = done + self.noc_latency
-            if done - now < RING_SIZE:
-                ring = self.ring
-                slot = done & RING_MASK
-                bucket = ring[slot]
-                if bucket is None:
-                    ring[slot] = [self.st_fill_local]
-                    engine._ring_items += 1
-                else:
-                    bucket.append(self.st_fill_local)
-            else:
-                self.ovf(done, self.st_fill_local)
-            engine._pending += 1
+            self.push(done, self.st_fill_local)
             return
         s.n_remote_read_requests += 1
-        now = engine.now
         arrival = self.fabric.send_bytes(
-            now, self.socket_id, self.home_id, CONTROL_BYTES
+            self.engine.now, self.socket_id, self.home_id, CONTROL_BYTES
         )
         self.home = self.owners[self.home_id]
-        if arrival - now < RING_SIZE:
-            ring = self.ring
-            slot = arrival & RING_MASK
-            bucket = ring[slot]
-            if bucket is None:
-                ring[slot] = [self.st_serve]
-                engine._ring_items += 1
-            else:
-                bucket.append(self.st_serve)
-        else:
-            self.ovf(arrival, self.st_serve)
-        engine._pending += 1
+        self.push(arrival, self.st_serve)
 
     def _stage_fill_local(self) -> None:
         """DRAM returned a local line (stepwise ``_local_fill``)."""
         packed = self.l2_fill(self.line, 0)
         if packed >= 0:
             self.charge(packed)
-        engine = self.engine
-        t = self.t_complete
-        if t - engine.now < RING_SIZE:
-            ring = self.ring
-            slot = t & RING_MASK
-            bucket = ring[slot]
-            if bucket is None:
-                ring[slot] = [self.st_complete]
-                engine._ring_items += 1
-            else:
-                bucket.append(self.st_complete)
-        else:
-            self.ovf(t, self.st_complete)
-        engine._pending += 1
+        self.push(self.t_complete, self.st_complete)
 
     def _stage_serve(self) -> None:
         """Home-side service of the request (stepwise ``_serve_remote_read``)."""
@@ -350,30 +296,15 @@ class ReadPath:
                 sent.prev = way
             l2.n_read_hits += 1
             h.n_l2_hits_for_remote += 1
-            engine = self.engine
-            now = engine.now
-            t = now + h._l2_hit_latency
-            if t - now < RING_SIZE:
-                ring = self.ring
-                slot = t & RING_MASK
-                bucket = ring[slot]
-                if bucket is None:
-                    ring[slot] = [self.st_respond]
-                    engine._ring_items += 1
-                else:
-                    bucket.append(self.st_respond)
-            else:
-                self.ovf(t, self.st_respond)
-            engine._pending += 1
+            self.push(self.engine.now + h._l2_hit_latency, self.st_respond)
             return
         l2.n_read_misses += 1
-        engine = self.engine
         # Inlined DramChannel.access — identical arithmetic.
         dram = h.dram
         res = dram.resource
         nbytes = h.line_size
         next_free = res._next_free
-        now = engine.now
+        now = self.engine.now
         start = now if now > next_free else next_free
         duration = nbytes / res._rate
         next_free = start + duration
@@ -385,18 +316,7 @@ class ReadPath:
         dram.n_bytes += nbytes
         whole = int(next_free)
         done = (whole if whole == next_free else whole + 1) + dram.latency
-        if done - now < RING_SIZE:
-            ring = self.ring
-            slot = done & RING_MASK
-            bucket = ring[slot]
-            if bucket is None:
-                ring[slot] = [self.st_fill_respond]
-                engine._ring_items += 1
-            else:
-                bucket.append(self.st_fill_respond)
-        else:
-            self.ovf(done, self.st_fill_respond)
-        engine._pending += 1
+        self.push(done, self.st_fill_respond)
 
     def _stage_fill_respond(self) -> None:
         """Home DRAM fill + response (stepwise ``_home_fill_and_respond``)."""
@@ -412,23 +332,10 @@ class ReadPath:
 
     def _respond(self) -> None:
         h = self.home
-        engine = self.engine
-        now = engine.now
         arrival = h.fabric.send_bytes(
-            now, h.socket_id, self.socket_id, DATA_BYTES
+            self.engine.now, h.socket_id, self.socket_id, DATA_BYTES
         )
-        if arrival - now < RING_SIZE:
-            ring = self.ring
-            slot = arrival & RING_MASK
-            bucket = ring[slot]
-            if bucket is None:
-                ring[slot] = [self.st_reply]
-                engine._ring_items += 1
-            else:
-                bucket.append(self.st_reply)
-        else:
-            self.ovf(arrival, self.st_reply)
-        engine._pending += 1
+        self.push(arrival, self.st_reply)
 
     def _stage_reply(self) -> None:
         """Response back at the requester (stepwise ``_remote_read_response``)."""
@@ -493,8 +400,7 @@ class WritePath:
         "pool",
         "socket",
         "engine",
-        "ring",
-        "ovf",
+        "push",
         # Issuer-side invariants cached at construction.
         "socket_id",
         "line_size",
@@ -528,8 +434,7 @@ class WritePath:
         self.socket = socket
         engine = socket.engine
         self.engine = engine
-        self.ring = engine._ring
-        self.ovf = engine._overflow_push
+        self.push = engine.push
         self.socket_id = socket.socket_id
         self.line_size = socket.line_size
         self.l2 = socket.l2
@@ -587,22 +492,10 @@ class WritePath:
                 self.dram.access(engine.now, self.line_size, write=True)
             on_done = self.on_done
             self.on_done = None
-            now = engine.now
-            t = now + self.l2_lat
+            t = engine.now + self.l2_lat
             _obs_write_end(self, t)
             self.pool.append(self)
-            if t - now < RING_SIZE:
-                ring = self.ring
-                slot = t & RING_MASK
-                bucket = ring[slot]
-                if bucket is None:
-                    ring[slot] = [on_done]
-                    engine._ring_items += 1
-                else:
-                    bucket.append(on_done)
-            else:
-                self.ovf(t, on_done)
-            engine._pending += 1
+            self.push(t, on_done)
             return
         if self.caches_remote_writes:
             way = self.l2_get(line)
@@ -629,45 +522,21 @@ class WritePath:
                     self.charge(packed)
             on_done = self.on_done
             self.on_done = None
-            now = engine.now
-            t = now + self.l2_lat
+            t = engine.now + self.l2_lat
             _obs_write_end(self, t)
             self.pool.append(self)
-            if t - now < RING_SIZE:
-                ring = self.ring
-                slot = t & RING_MASK
-                bucket = ring[slot]
-                if bucket is None:
-                    ring[slot] = [on_done]
-                    engine._ring_items += 1
-                else:
-                    bucket.append(on_done)
-            else:
-                self.ovf(t, on_done)
-            engine._pending += 1
+            self.push(t, on_done)
             return
         # Forward the write to its home socket; drop any stale local copy
         # (write-invalidate keeps the R$ / write-through L2 coherent).
         if self.holds_remote:
             self.l2.drop(line)
         s.n_remote_writes_forwarded += 1
-        now = engine.now
         arrival = self.fabric.send_bytes(
-            now, self.socket_id, self.home_id, DATA_BYTES
+            engine.now, self.socket_id, self.home_id, DATA_BYTES
         )
         self.home = self.owners[self.home_id]
-        if arrival - now < RING_SIZE:
-            ring = self.ring
-            slot = arrival & RING_MASK
-            bucket = ring[slot]
-            if bucket is None:
-                ring[slot] = [self.st_absorb]
-                engine._ring_items += 1
-            else:
-                bucket.append(self.st_absorb)
-        else:
-            self.ovf(arrival, self.st_absorb)
-        engine._pending += 1
+        self.push(arrival, self.st_absorb)
 
     def _stage_absorb(self) -> None:
         """Home-side absorption + ack (stepwise ``_absorb_remote_write``)."""
@@ -707,18 +576,7 @@ class WritePath:
         self.on_done = None
         _obs_write_end(self, arrival)
         self.pool.append(self)
-        if arrival - now < RING_SIZE:
-            ring = self.ring
-            slot = arrival & RING_MASK
-            bucket = ring[slot]
-            if bucket is None:
-                ring[slot] = [on_done]
-                engine._ring_items += 1
-            else:
-                bucket.append(on_done)
-        else:
-            self.ovf(arrival, on_done)
-        engine._pending += 1
+        self.push(arrival, on_done)
 
 
 def release_walkers(pool: list) -> None:

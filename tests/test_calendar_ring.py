@@ -40,10 +40,10 @@ class ReferenceEngine:
         self._seq = 0
         self._heap: list[tuple[int, int, object]] = []
 
-    def schedule_call(self, delay: int, fn) -> None:
-        self.schedule_call_at(self.now + delay, fn)
+    def schedule(self, delay: int, fn) -> None:
+        self.push(self.now + delay, fn)
 
-    def schedule_call_at(self, time: int, fn) -> None:
+    def push(self, time: int, fn) -> None:
         assert time >= self.now
         heapq.heappush(self._heap, (time, self._seq, fn))
         self._seq += 1
@@ -85,23 +85,23 @@ def _execute(engine, seed: int, roots: list[int],
         if len(tag) < 4:
             for i in range(rng.randrange(3)):
                 child = tag + (i,)
-                engine.schedule_call(
+                engine.schedule(
                     rng.choice(DELAYS), lambda t=child: fire(t)
                 )
 
     def tick(tag: tuple, period: int, remaining: int) -> None:
         order.append((engine.now, tag))
         if remaining:
-            engine.schedule_call(
+            engine.schedule(
                 period,
                 lambda: tick(tag[:-1] + (tag[-1] + 1,), period, remaining - 1),
             )
 
     for i, time in enumerate(roots):
         tag = (i,)
-        engine.schedule_call_at(time, lambda t=tag: fire(t))
+        engine.push(time, lambda t=tag: fire(t))
     for j, (period, count) in enumerate(chains):
-        engine.schedule_call(
+        engine.schedule(
             period, lambda p=period, c=count, j=j: tick(("lane", j, 0), p, c)
         )
     engine.run()

@@ -48,6 +48,18 @@ def test_cache_needs_a_way():
         CacheConfig(capacity_bytes=0, ways=0)
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"capacity_bytes": 0}, "capacity 0 not a positive multiple"),
+    ({"line_size": 0}, "line_size must be >= 1"),
+    ({"hit_latency": -30}, "hit_latency must be >= 0"),
+], ids=["zero-capacity", "zero-line", "negative-hit-latency"])
+def test_cache_leaf_rules(kwargs, match):
+    # hit_latency=-30 on the scaled L2 used to queue hits in the past and
+    # stretch a 2,350-cycle run to 18,626 cycles with no error.
+    with pytest.raises(ConfigError, match=match):
+        CacheConfig(**{"capacity_bytes": 4096, "ways": 4, **kwargs})
+
+
 def test_link_direction_bandwidth():
     link = LinkConfig()
     assert link.direction_bandwidth == 64.0
@@ -772,6 +784,62 @@ def test_unknown_placement_parameter_is_rejected():
             r"\['max_migrations_per_page', 'migration_threshold', "
             r"'read_shared_filter', 'touch_window'\]")):
         _context().config_locality_policy("first_touch", bogus=3)
+
+
+@pytest.mark.parametrize(
+    "name", ["sms", "ctas_per_sm", "max_outstanding_per_sm", "mlp_per_cta"]
+)
+def test_gpu_counts_below_one_are_rejected(name):
+    # sms=0 used to end in a bare AssertionError after an empty drain;
+    # mlp_per_cta=0 and max_outstanding_per_sm=0 ran silently.
+    with pytest.raises(ConfigError, match=f"gpu.{name} must be >= 1"):
+        GpuConfig(**{name: 0})
+
+
+@pytest.mark.parametrize("value", [0, 0.0, -1.5])
+@pytest.mark.parametrize("name", ["dram_bandwidth", "noc_bandwidth"])
+def test_nonpositive_gpu_bandwidth_is_rejected(name, value):
+    with pytest.raises(ConfigError, match=f"gpu.{name} must be > 0"):
+        GpuConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["dram_latency", "noc_latency"])
+def test_negative_gpu_latency_is_rejected(name):
+    # dram_latency=-100 used to run silently.
+    with pytest.raises(ConfigError, match=f"gpu.{name} must be >= 0"):
+        GpuConfig(**{name: -100})
+
+
+@pytest.mark.parametrize("name", ["migration_latency", "kernel_launch_latency"])
+def test_negative_system_latency_is_rejected(name):
+    # kernel_launch_latency=-5000 used to fail mid-run with a
+    # SchedulingError; migration_latency=-10 ran silently.
+    with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
+        SystemConfig(**{name: -10})
+
+
+@pytest.mark.parametrize("page_size", [100, LINE_SIZE + 1, 0, -4096])
+def test_page_size_must_be_a_positive_multiple_of_the_line(page_size):
+    with pytest.raises(ConfigError, match="page_size must be a positive multiple"):
+        SystemConfig(page_size=page_size)
+
+
+def test_rejected_gpu_leaf_fails_through_replace():
+    # Configs are derived with dataclasses.replace, which re-validates.
+    from dataclasses import replace
+
+    base = scaled_config()
+    with pytest.raises(ConfigError, match="gpu.sms must be >= 1"):
+        replace(base, gpu=replace(base.gpu, sms=0))
+
+
+def test_gpu_and_system_boundaries_are_accepted():
+    gpu = GpuConfig(sms=1, ctas_per_sm=1, max_outstanding_per_sm=1,
+                    mlp_per_cta=1, dram_bandwidth=0.5, noc_bandwidth=0.5,
+                    dram_latency=0, noc_latency=0)
+    config = SystemConfig(gpu=gpu, migration_latency=0,
+                          kernel_launch_latency=0, page_size=LINE_SIZE)
+    assert config.page_size == LINE_SIZE and config.total_sms == 4
 
 
 def test_controller_boundaries_are_accepted():

@@ -1,9 +1,13 @@
 """Unit tests for the discrete-event engine."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.errors import SchedulingError
-from repro.sim.engine import Engine
+from repro.sim.engine import RING_SIZE, Engine
 
 
 def test_starts_at_time_zero():
@@ -225,49 +229,25 @@ def test_events_scheduled_at_current_time_run_in_same_drain():
 
 
 # ---------------------------------------------------------------------------
-# O(1) pending_events (PR 3 satellite): the count is a maintained running
-# total, never a sum over buckets — and it stays exact through every drain
-# mode, the zero-argument fast path, and error paths.
+# pending_events is counted on demand from the queue itself, so it stays
+# exact through every drain mode, the unchecked insert, and error paths.
 # ---------------------------------------------------------------------------
-
-class _CountingBuckets(dict):
-    """Dict that records iteration — pending_events must never iterate."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.iterations = 0
-
-    def values(self):  # pragma: no cover - exercised only on regression
-        self.iterations += 1
-        return super().values()
-
-    def items(self):  # pragma: no cover - exercised only on regression
-        self.iterations += 1
-        return super().items()
-
-
-def test_pending_events_is_constant_time():
-    eng = Engine()
-    for i in range(500):
-        eng.schedule(i, lambda: None)
-    counting = _CountingBuckets(eng._buckets)
-    eng._buckets = counting
-    assert eng.pending_events == 500
-    assert counting.iterations == 0  # running count, no bucket walk
-
 
 def test_pending_events_tracks_schedule_and_drain():
     eng = Engine()
+    fired_later = []
     assert eng.pending_events == 0
     eng.schedule(5, lambda: None)
     eng.schedule_at(5, lambda: None)
-    eng.schedule_call(7, lambda: None)
-    eng.schedule_call_at(9, lambda: None)
-    assert eng.pending_events == 4
+    eng.schedule(7, fired_later.append, 7)
+    eng.push(9, lambda: None)
+    eng.push(3 * RING_SIZE, lambda: None)
+    assert eng.pending_events == 5
     eng.run(until=5)
-    assert eng.pending_events == 2
+    assert eng.pending_events == 3
     eng.run()
     assert eng.pending_events == 0
+    assert fired_later == [7]
 
 
 def test_pending_events_exact_under_max_events_budget():
@@ -289,9 +269,9 @@ def test_pending_events_counts_mid_drain_appends():
     def chain(n):
         fired.append(n)
         if n:
-            eng.schedule_call(0, lambda: chain(n - 1))
+            eng.push(eng.now, lambda: chain(n - 1))
 
-    eng.schedule_call(3, lambda: chain(4))
+    eng.schedule(3, lambda: chain(4))
     eng.run()
     assert fired == [4, 3, 2, 1, 0]
     assert eng.pending_events == 0
@@ -315,22 +295,68 @@ def test_pending_events_consistent_after_callback_raises():
     assert eng.peek_time() == 1
 
 
-def test_schedule_call_runs_in_fifo_order_with_tuple_events():
+def test_bound_args_and_bare_callables_run_in_fifo_order():
+    # schedule() binds its args once; the bucket holds one entry shape,
+    # so pushed callables and bound callbacks interleave in FIFO order.
     eng = Engine()
     fired = []
-    eng.schedule(3, fired.append, "tuple-1")
-    eng.schedule_call(3, lambda: fired.append("bare-1"))
-    eng.schedule(3, fired.append, "tuple-2")
-    eng.schedule_call(3, lambda: fired.append("bare-2"))
+    eng.schedule(3, fired.append, "bound-1")
+    eng.push(3, lambda: fired.append("bare-1"))
+    eng.schedule_at(3, fired.append, "bound-2")
+    eng.schedule(3, lambda: fired.append("bare-2"))
     eng.run()
-    assert fired == ["tuple-1", "bare-1", "tuple-2", "bare-2"]
+    assert fired == ["bound-1", "bare-1", "bound-2", "bare-2"]
 
 
-def test_schedule_call_validation():
+def test_zero_arg_schedule_validation():
     eng = Engine()
     with pytest.raises(SchedulingError):
-        eng.schedule_call(-1, lambda: None)
+        eng.schedule(-1, lambda: None)
     eng.schedule(10, lambda: None)
     eng.run()
     with pytest.raises(SchedulingError):
-        eng.schedule_call_at(5, lambda: None)
+        eng.schedule_at(5, lambda: None)
+    assert eng.pending_events == 0
+
+
+#: The calendar ring's private layout: slots, occupancy count, overflow
+#: queue and the ring geometry.
+RING_PRIVATE = frozenset({
+    "_ring", "_ring_items", "_buckets", "_times", "_overflow_push",
+    "RING_SIZE", "RING_MASK",
+})
+
+
+def _ring_references(path: Path) -> list[str]:
+    """``line: name`` of every identifier, attribute, import or string
+    in ``path`` that names a piece of the ring's layout."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in RING_PRIVATE:
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_only_the_engine_knows_the_ring_layout():
+    # Every insert goes through Engine.push/schedule/schedule_at, so a
+    # change to the ring (its size, its overflow rule) is a one-file
+    # change. No module but sim/engine.py may reach into its layout.
+    package = Path(repro.__file__).resolve().parent
+    engine = package / "sim" / "engine.py"
+    offenders = {
+        str(path.relative_to(package)): refs
+        for path in sorted(package.rglob("*.py"))
+        if path != engine and (refs := _ring_references(path))
+    }
+    assert offenders == {}
+    assert _ring_references(engine)  # the scan does see the layout

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 from repro.config import scaled_config
 from repro.core.builder import build_system
-from repro.errors import RuntimeLaunchError
+from repro.errors import RuntimeLaunchError, SimulationError
 from repro.gpu.cta import MemOp, Slice
+from repro.gpu.socket import GpuSocket
 from repro.locality import PlacementSpec
 from repro.locality.cta import CTA_POLICIES
 from repro.runtime.kernel import KernelWork
@@ -154,6 +155,26 @@ def test_launcher_finished_flag():
     system.run([tiny_kernel("a")], "fin")
     assert system.launcher is not None
     assert system.launcher.finished
+
+
+def test_stuck_drain_raises_simulation_error(monkeypatch):
+    # A socket that drops its CTAs never reports its sub-kernel done, so
+    # the engine drains with the kernel unfinished. That must fail with
+    # an error naming the kernel and its pending CTAs, also under
+    # ``python -O`` (which strips asserts).
+    real_start = GpuSocket.start_subkernel
+
+    def drop_on_socket_1(self, ctas, on_done):
+        if self.socket_id != 1:
+            real_start(self, ctas, on_done)
+
+    monkeypatch.setattr(GpuSocket, "start_subkernel", drop_on_socket_1)
+    system = build_system(scaled_config(n_sockets=2, sms_per_socket=2))
+    with pytest.raises(SimulationError, match=(
+            r"kernel 'a' \(1 of 2\) never completed; "
+            r"pending CTAs by socket: \{1: 8\}")):
+        system.run([tiny_kernel("a", n_ctas=16), tiny_kernel("b")], "stuck")
+    assert not system.launcher.finished
 
 
 # ---------------------------------------------------------------------------

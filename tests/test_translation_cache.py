@@ -128,3 +128,37 @@ def test_local_only_single_socket_skips_translation_wholesale():
     engine.run()
     assert table.n_translations == 0
     assert s0.n_local_accesses == 1
+
+
+class _ProbeCountingDict(dict):
+    """A registered dict that counts every probe made through ``get``."""
+
+    def __init__(self):
+        super().__init__()
+        self.probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+def test_invalidate_page_probes_nothing_when_not_cacheable():
+    # A dynamic policy forbids settled homes, so a re-home has no record
+    # or L1 hint to drop: the early return must not walk the page's lines.
+    config, engine, table, sockets = build_sockets("access_counter_migration")
+    assert not table.cacheable
+    lines, frames = _ProbeCountingDict(), _ProbeCountingDict()
+    table.register_line_cache(lines)
+    table.register_frame_hints(frames)
+    sockets[0].access(0, 0, False, lambda: None)
+    engine.run()
+    assert table.invalidate_page(0) == 0
+    assert lines.probes == 0 and frames.probes == 0
+    assert table.n_translation_invalidations == 0
+    # A cacheable table probes the same registered dicts.
+    config, engine, table, sockets = build_sockets("first_touch")
+    lines, frames = _ProbeCountingDict(), _ProbeCountingDict()
+    table.register_line_cache(lines)
+    table.register_frame_hints(frames)
+    table.invalidate_page(0)
+    assert lines.probes == frames.probes == table._lines_per_page
