@@ -8,9 +8,9 @@ CI run. Rules (see DESIGN.md "Static contracts" for the catalogue):
   modules, builtin ``hash()``, unordered ``set`` iteration;
 * ``hot-path-alloc`` / ``hot-path-attr`` — allocation and attribute
   discipline inside the declared hot functions;
-* ``obs-hook-discipline`` — observability hooks in hot functions use
-  the prebound module-level NOOP callable pattern (no attribute-chain
-  lookups or tracer conditionals on the disabled path).
+* ``obs-hook-discipline`` — no observability hook in hot functions (no
+  prebound ``_obs_*`` call, attribute-chain hook call or tracer
+  conditional); per-op tracing lives in :mod:`repro.obs.traced`.
 """
 
 from __future__ import annotations

@@ -1,25 +1,25 @@
-"""Rule ``obs-hook-discipline``: prebound observability hooks on hot paths.
+"""Rule ``obs-hook-discipline``: no observability hooks on hot paths.
 
-The observability layer (``repro.obs``; DESIGN.md "Observability
-contract") keeps tracing zero-overhead when disabled by *prebinding*:
-each instrumented module binds a module-global ``_obs_* = NOOP`` and
-registers it with :func:`repro.obs.hooks.register`; enabling a tracer
-swaps the global for a bound method. A hook call on a hot path is then
-one global load and one no-op call — no attribute-chain lookups, no
-``if tracer is not None`` branch.
+Tracing costs nothing per op when off (DESIGN.md "Observability
+contract") because the per-op paths carry no hook call at all: a
+system built with a tracer is built from the traced subclasses of
+:mod:`repro.obs.traced`, which call the tracer around the base method.
+Only the cold sites (kernel launches, re-homes, lane turns) keep a
+prebound ``_obs_* = NOOP`` global from :mod:`repro.obs.hooks`.
 
-This checker enforces that pattern inside the declared hot functions
-(the same :data:`~repro.analysis.checkers.hotpath.HOT_FUNCTIONS`
-registry plus ``# repro-lint: hot`` markers the hot-path checker uses):
+This checker keeps it that way inside the declared hot functions (the
+same :data:`~repro.analysis.checkers.hotpath.HOT_FUNCTIONS` registry plus
+``# repro-lint: hot`` markers the hot-path checker uses):
 
+* calling a prebound hook (``_obs_read_begin(self)``) is flagged — even
+  disabled, it is a global load and a no-op call per op;
 * calling a hook through an attribute chain (``self.tracer.on_read(...)``,
-  ``obs_hooks.enable(...)``, ``hooks.NOOP(...)``) is flagged — every
-  disabled-path call would pay the chain of dict probes;
+  ``obs_hooks.enable(...)``, ``hooks.NOOP(...)``) is flagged;
 * guarding a hook with a conditional (``if tracer is not None:``,
-  ``if _obs_read is not NOOP:``, ``if is_enabled():``) is flagged — the
-  prebound NOOP already makes the disabled path branch-free.
+  ``if _obs_read is not NOOP:``, ``if is_enabled():``) is flagged — a
+  branch per op is a cost when off too.
 
-Bare module-global calls (``_obs_read_begin(self)``) pass.
+Move the hook into a traced subclass instead.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _chain_parts(node: ast.Attribute) -> list[str] | None:
 
 
 class ObsHookDisciplineChecker(HotPathChecker):
-    """Enforce the prebound-NOOP hook pattern in declared hot functions.
+    """Keep observability hooks out of declared hot functions.
 
     Subclasses the hot-path checker purely to reuse its hot-function
     detection (``HOT_FUNCTIONS`` patterns + the ``# repro-lint: hot``
@@ -64,9 +64,9 @@ class ObsHookDisciplineChecker(HotPathChecker):
 
     rule = "obs-hook-discipline"
     description = (
-        "observability hook reached through an attribute chain or "
-        "conditional in a declared hot function — use the prebound "
-        "module-level NOOP callable (repro.obs.hooks.register)"
+        "observability hook called (prebound, through an attribute "
+        "chain, or under a conditional) in a declared hot function — "
+        "trace through a subclass in repro.obs.traced instead"
     )
 
     def owned_rules(self) -> tuple[str, ...]:
@@ -83,7 +83,17 @@ class ObsHookDisciplineChecker(HotPathChecker):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node is not fn:
                     self._covered.add(id(node))
-            if isinstance(node, ast.Call) and isinstance(
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id.startswith("_obs"):
+                    ctx.report(
+                        self.rule, node,
+                        f"prebound hook call '{node.func.id}' in a hot "
+                        "function costs a call per op even when tracing "
+                        "is off; trace through a subclass in "
+                        "repro.obs.traced instead",
+                        symbol=symbol,
+                    )
+            elif isinstance(node, ast.Call) and isinstance(
                 node.func, ast.Attribute
             ):
                 parts = _chain_parts(node.func)
@@ -94,8 +104,8 @@ class ObsHookDisciplineChecker(HotPathChecker):
                     ctx.report(
                         self.rule, node,
                         f"hook call through attribute chain '{chain}' in a "
-                        "hot function; bind a module-level _obs_* callable "
-                        "via repro.obs.hooks.register instead",
+                        "hot function; trace through a subclass in "
+                        "repro.obs.traced instead",
                         symbol=symbol,
                     )
             elif isinstance(node, (ast.If, ast.IfExp)):
@@ -104,8 +114,8 @@ class ObsHookDisciplineChecker(HotPathChecker):
                     ctx.report(
                         self.rule, node,
                         f"conditional on '{guard}' guards an observability "
-                        "hook in a hot function; the prebound NOOP pattern "
-                        "makes the disabled path branch-free",
+                        "hook in a hot function; trace through a subclass "
+                        "in repro.obs.traced instead",
                         symbol=symbol,
                     )
 

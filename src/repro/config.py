@@ -133,6 +133,10 @@ class LinkConfig:
     min_lanes: int = 1  # balancer never empties a direction
 
     def __post_init__(self) -> None:
+        # A negative floor would let the balancer turn a direction's
+        # last lane away and leave it with negative bandwidth.
+        if self.min_lanes < 0:
+            raise ConfigError(f"min_lanes must be >= 0, got {self.min_lanes}")
         if self.lanes_per_direction < self.min_lanes:
             raise ConfigError("lanes_per_direction below min_lanes")
         if self.lane_bandwidth <= 0:

@@ -53,8 +53,9 @@ def build_system(
 ) -> NumaGpuSystem:
     """Construct a simulatable system (default: scaled 4-socket).
 
-    ``tracer`` (a :class:`repro.obs.tracer.Tracer`) enables the
-    observability hook sites for the system's runs; a positive
+    ``tracer`` (a :class:`repro.obs.tracer.Tracer`) builds the system
+    from the traced classes of :mod:`repro.obs.traced` and binds the
+    cold hook sites for its runs; a positive
     ``metrics_interval`` additionally samples the stock metric gauges
     every that many cycles (see DESIGN.md, "Observability contract").
     """

@@ -49,16 +49,10 @@ from repro.memory.cache import SetAssocCache
 from repro.memory.coherence import CoherenceDomain, FlushResult
 from repro.memory.dram import DramChannel
 from repro.memory.page_table import PageTable
-from repro.obs.hooks import NOOP, register
 from repro.sim.engine import Engine
 from repro.sim.path import ReadPath, WritePath, release_walkers
 from repro.sim.resource import BandwidthResource
 from repro.sim.stats import StatGroup, flatten_slots
-
-# Observability hook point (repro.obs.hooks): one call per issue burst
-# (not per op) folding the burst's counts into the tracer's aggregates.
-_obs_burst = NOOP
-register(__name__, "_obs_burst", "burst")
 
 OnDone = Callable[[], None]
 
@@ -143,6 +137,11 @@ class GpuSocket:
         "n_flush_remote_writebacks",
         "n_ctas_completed",
     )
+
+    #: walker classes built when a pool runs dry (the traced sockets of
+    #: repro.obs.traced swap in traced walkers).
+    read_path_type = ReadPath
+    write_path_type = WritePath
 
     #: slotted counter -> public stats key (see repro.sim.stats).
     _STAT_FIELDS = (
@@ -500,7 +499,7 @@ class GpuSocket:
                 whole = int(noc_next_free)
                 begin = whole if whole == noc_next_free else whole + 1
                 wpool = self._write_pool
-                wp = wpool.pop() if wpool else WritePath(self, wpool)
+                wp = wpool.pop() if wpool else self.write_path_type(self, wpool)
                 wp.line = line
                 wp.home_id = home
                 wp.is_local = is_local
@@ -600,7 +599,7 @@ class GpuSocket:
             whole = int(noc_next_free)
             begin = whole if whole == noc_next_free else whole + 1
             rpool = self._read_pool
-            rp = rpool.pop() if rpool else ReadPath(self, rpool)
+            rp = rpool.pop() if rpool else self.read_path_type(self, rpool)
             rp.line = line
             rp.cls = 0 if is_local else 1
             rp.home_id = home
@@ -625,7 +624,6 @@ class GpuSocket:
             self.n_writes += n_writes
             l1.n_write_hits += n_write_hits
             l1.n_write_misses += n_write_misses
-        _obs_burst(self, sm_index, now, n_hits, n_async)
         return i, n_async
 
     # ------------------------------------------------------------------
@@ -809,7 +807,7 @@ class LocalGpuSocket(GpuSocket):
                 whole = int(noc_next_free)
                 begin = whole if whole == noc_next_free else whole + 1
                 wpool = self._write_pool
-                wp = wpool.pop() if wpool else WritePath(self, wpool)
+                wp = wpool.pop() if wpool else self.write_path_type(self, wpool)
                 wp.line = line
                 wp.home_id = socket_id
                 wp.is_local = True
@@ -858,7 +856,7 @@ class LocalGpuSocket(GpuSocket):
             whole = int(noc_next_free)
             begin = whole if whole == noc_next_free else whole + 1
             rpool = self._read_pool
-            rp = rpool.pop() if rpool else ReadPath(self, rpool)
+            rp = rpool.pop() if rpool else self.read_path_type(self, rpool)
             rp.line = line
             rp.cls = 0
             rp.home_id = socket_id
@@ -882,7 +880,6 @@ class LocalGpuSocket(GpuSocket):
             self.n_writes += n_writes
             l1.n_write_hits += n_write_hits
             l1.n_write_misses += n_write_misses
-        _obs_burst(self, sm_index, now, n_hits, n_async)
         return i, n_async
 
 
@@ -892,17 +889,20 @@ def make_socket(
     engine: Engine,
     page_table: PageTable,
     fabric,
+    general: type[GpuSocket] = GpuSocket,
+    local: type[GpuSocket] = LocalGpuSocket,
 ) -> GpuSocket:
     """Build the right burst variant for the system shape.
 
     Single-socket systems whose placement never bills a local touch get
-    :class:`LocalGpuSocket` (the translation-free fast path — the same
-    predicate the base class hoists as ``_always_local``); everything
-    else gets the general :class:`GpuSocket`.
+    ``local`` (:class:`LocalGpuSocket`, the translation-free fast path —
+    the same predicate the base class hoists as ``_always_local``);
+    everything else gets ``general`` (:class:`GpuSocket`). A traced
+    system passes the traced subclasses of :mod:`repro.obs.traced`.
     """
     if (
         config.n_sockets == 1
         and not page_table.policy.bills_single_socket_touch
     ):
-        return LocalGpuSocket(socket_id, config, engine, page_table, fabric)
-    return GpuSocket(socket_id, config, engine, page_table, fabric)
+        return local(socket_id, config, engine, page_table, fabric)
+    return general(socket_id, config, engine, page_table, fabric)

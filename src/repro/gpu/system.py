@@ -62,10 +62,13 @@ class NumaGpuSystem:
     ) -> None:
         self.config = config
         self.record_timelines = record_timelines
-        #: a repro.obs.tracer.Tracer bound into the hook sites for the
-        #: duration of run()/resume(), or None (untraced: the hook
-        #: globals stay NOOP and nothing extra is scheduled or stored,
-        #: so results are byte-identical to pre-observability runs).
+        #: a repro.obs.tracer.Tracer, or None. A traced system is built
+        #: from the traced sockets, walkers and fabric of
+        #: repro.obs.traced (the per-op sites), and binds the tracer
+        #: into the registry's cold hook sites for the duration of
+        #: run(). Untraced, no hook runs per op and nothing extra is
+        #: scheduled or stored, so results are byte-identical to
+        #: pre-observability runs.
         self.tracer = tracer
         self.metrics: MetricRegistry | None = None
         self._metrics_interval = metrics_interval
@@ -77,11 +80,20 @@ class NumaGpuSystem:
         # The fabric-or-none decision lives in one documented helper
         # (`repro.topology.fabric.build_fabric`): None for one socket,
         # a MultiHopFabric (the crossbar star by default) otherwise.
-        self.fabric = build_fabric(config, self.engine)
-        self.sockets = [
-            make_socket(s, config, self.engine, self.page_table, self.fabric)
-            for s in range(config.n_sockets)
-        ]
+        if tracer is None:
+            self.fabric = build_fabric(config, self.engine)
+            self.sockets = [
+                make_socket(s, config, self.engine, self.page_table, self.fabric)
+                for s in range(config.n_sockets)
+            ]
+        else:
+            # Imported here so that an untraced process never loads the
+            # traced classes.
+            from repro.obs.traced import build_traced
+
+            self.fabric, self.sockets = build_traced(
+                config, self.engine, self.page_table, tracer
+            )
         if self.fabric is not None:
             self.fabric.owners = list(self.sockets)
         # The locality layer: the fabric's distance model feeds both the
@@ -144,7 +156,7 @@ class NumaGpuSystem:
     # observability (DESIGN.md, "Observability contract")
     # ------------------------------------------------------------------
     def _obs_enable(self) -> None:
-        """Bind the tracer into the hook sites and start the sampler."""
+        """Bind the tracer into the cold hook sites; start the sampler."""
         if self.tracer is None:
             return
         obs_hooks.enable(self.tracer)

@@ -34,8 +34,21 @@ LRU and a short walk from the LRU end for the partitioned class-LRU
 scans — no 16-way timestamp pass per fill. This is exactly equivalent to
 the previous global-tick scheme: ticks were strictly increasing and
 unique per touch, so ascending-timestamp order *is* list order, and the
-first-minimal tie-break cannot trigger. Invalid frames are never linked;
-the "first invalid frame in set order" rule keeps its explicit scan.
+first-minimal tie-break cannot trigger. Invalid frames are never linked.
+
+Frames are built on demand: a set's frame list starts empty and grows
+one frame per fill into a set that is not full, up to ``n_ways``, so a
+short run builds only the frames it fills. Victim choice in a set that
+is not full keeps the historical rule "first invalid frame in way
+order" in O(1): fills and evictions never invalidate a frame, so the
+invalid frames of a set are a suffix of its list, and the first of them
+is ``cache_set[valid count]`` — or a new frame when every built frame is
+valid (a frame never built is invalid, last in way order). Only
+:meth:`SetAssocCache.drop` and :meth:`SetAssocCache.invalidate_class`
+can punch a hole (an invalid frame before a valid one); they mark the
+set *holey*, and a holey set falls back to the way-order scan until the
+scan finds the suffix restored. :meth:`SetAssocCache.invalidate_all`
+leaves every frame invalid and clears every mark.
 """
 
 from __future__ import annotations
@@ -88,18 +101,14 @@ class _Way:
     cleared by the page table when the line's page re-homes — a hint
     >= 0 therefore always equals the line record's settled home, so the
     access path may trust it without a record probe.
+
+    Frames are built bare — ``_Way()`` runs no Python code, which keeps
+    frame construction off the per-fill call count — so every slot is
+    assigned before it is read: a new frame gets ``line = None`` and its
+    ``sent`` where it is built, and the fill that takes it sets the rest.
     """
 
     __slots__ = ("line", "cls", "dirty", "home", "prev", "nxt", "sent")
-
-    def __init__(self) -> None:
-        self.line: int | None = None
-        self.cls = 0  # NumaClass.LOCAL.value
-        self.dirty = False
-        self.home = -1
-        self.prev: "_Way | None" = None
-        self.nxt: "_Way | None" = None
-        self.sent: "_Way | None" = None
 
 
 class SetAssocCache:
@@ -133,6 +142,7 @@ class SetAssocCache:
         "_set_valid",
         "_set_local",
         "_set_remote",
+        "_holey",
         "_lru",
         "_stats",
         "partitioned",
@@ -181,9 +191,9 @@ class SetAssocCache:
         self.n_sets = config.n_sets
         self.n_ways = config.ways
         self.line_size = config.line_size
-        # Way frames are allocated lazily, one set at a time on first
-        # fill: constructing every frame up front cost more than short
-        # runs ever touched (a fresh system is built per simulation).
+        # Frames are built on demand: a set's list is allocated on its
+        # first fill and grows one frame per fill into a set that is not
+        # full (see the module docstring for the suffix invariant).
         self._sets: list[list[_Way] | None] = [None] * self.n_sets
         self._where: dict[int, _Way] = {}
         # line -> set index is `line % n_sets`; a power-of-two set count
@@ -191,13 +201,17 @@ class SetAssocCache:
         self._set_mask = (
             self.n_sets - 1 if self.n_sets & (self.n_sets - 1) == 0 else None
         )
-        # Valid frames per set: a full set (the steady state) skips the
-        # invalid-frame scan and takes the LRU list head in O(1). The
+        # Valid frames per set: a full set (the steady state) takes the
+        # LRU list head in O(1); a set that is not full indexes its first
+        # invalid frame with this count (_free_frame). The
         # per-class split (local/remote) gives the partitioned victim
         # scan its occupancy test without a counting pass over the set.
         self._set_valid = [0] * self.n_sets
         self._set_local = [0] * self.n_sets
         self._set_remote = [0] * self.n_sets
+        #: indices of sets whose invalid frames may not form a suffix of
+        #: their frame list (a drop or class invalidation left a hole).
+        self._holey: set[int] = set()
         #: per-set recency-list sentinels (allocated with the set).
         self._lru: list[_Way | None] = [None] * self.n_sets
         self._stats = StatGroup(name)
@@ -378,7 +392,11 @@ class SetAssocCache:
             cache_set = self._alloc_set(set_idx)
         # Hot victim cases inlined from _choose_victim: a full
         # unpartitioned set takes the LRU head; a partitioned set whose
-        # incoming class is at/over quota takes that class's LRU frame.
+        # incoming class is at/over quota takes that class's LRU frame;
+        # a set that is not full takes its first invalid frame (inlined
+        # from _free_frame for a set with no hole).
+        n_valid = self._set_valid[set_idx]
+        victim = None
         if self.partitioned:
             count_own = (
                 self._set_remote[set_idx] if cls else self._set_local[set_idx]
@@ -387,12 +405,20 @@ class SetAssocCache:
                 victim = self._lru[set_idx].nxt
                 while victim.cls != cls:
                     victim = victim.nxt
-            else:
+            elif n_valid == self.n_ways:
                 victim = self._choose_victim(cache_set, set_idx, cls)
-        elif self._set_valid[set_idx] == self.n_ways:
+        elif n_valid == self.n_ways:
             victim = self._lru[set_idx].nxt
-        else:
-            victim = self._choose_victim(cache_set, set_idx, cls)
+        if victim is None:
+            if set_idx in self._holey:
+                victim = self._free_frame(cache_set, set_idx)
+            elif n_valid < len(cache_set):
+                victim = cache_set[n_valid]
+            else:
+                victim = _Way()
+                victim.line = None
+                victim.sent = self._lru[set_idx]
+                cache_set.append(victim)
         packed = -1
         vline = victim.line
         if vline is not None:
@@ -450,6 +476,8 @@ class SetAssocCache:
         if cache_set is None:
             cache_set = self._alloc_set(set_idx)
         # Hot victim cases inlined (see fill_fast).
+        n_valid = self._set_valid[set_idx]
+        victim = None
         if self.partitioned:
             count_own = (
                 self._set_remote[set_idx] if cls else self._set_local[set_idx]
@@ -458,12 +486,20 @@ class SetAssocCache:
                 victim = self._lru[set_idx].nxt
                 while victim.cls != cls:
                     victim = victim.nxt
-            else:
+            elif n_valid == self.n_ways:
                 victim = self._choose_victim(cache_set, set_idx, cls)
-        elif self._set_valid[set_idx] == self.n_ways:
+        elif n_valid == self.n_ways:
             victim = self._lru[set_idx].nxt
-        else:
-            victim = self._choose_victim(cache_set, set_idx, cls)
+        if victim is None:
+            if set_idx in self._holey:
+                victim = self._free_frame(cache_set, set_idx)
+            elif n_valid < len(cache_set):
+                victim = cache_set[n_valid]
+            else:
+                victim = _Way()
+                victim.line = None
+                victim.sent = self._lru[set_idx]
+                cache_set.append(victim)
         vline = victim.line
         if vline is not None:
             del where[vline]
@@ -497,16 +533,43 @@ class SetAssocCache:
     # recency-list plumbing
     # ------------------------------------------------------------------
     def _alloc_set(self, set_idx: int) -> list[_Way]:
-        """Lazily allocate one set's frames and recency sentinel."""
-        cache_set = self._sets[set_idx] = [_Way() for _ in range(self.n_ways)]
+        """Allocate one set's (empty) frame list and recency sentinel."""
         sent = _Way()
+        sent.line = None
         sent.cls = -1  # never matches a class-LRU walk
         sent.prev = sent
         sent.nxt = sent
         self._lru[set_idx] = sent
-        for way in cache_set:
-            way.sent = sent
+        cache_set = self._sets[set_idx] = []
         return cache_set
+
+    def _free_frame(self, cache_set: list[_Way], set_idx: int) -> _Way:  # repro-lint: hot
+        """The first invalid frame, in way order, of a set that is not full.
+
+        Outside a holey set the invalid frames are a suffix of the list,
+        so the answer is the frame just past the valid ones, or a new
+        frame when every built frame is valid. A holey set scans in way
+        order; a scan that finds no hole before the suffix clears the
+        mark.
+        """
+        n_valid = self._set_valid[set_idx]
+        holey = self._holey
+        if set_idx in holey:
+            first = 0
+            for way in cache_set:
+                if way.line is None:
+                    break
+                first += 1
+            if first < n_valid:
+                return cache_set[first]
+            holey.discard(set_idx)
+        if n_valid < len(cache_set):
+            return cache_set[n_valid]
+        way = _Way()
+        way.line = None
+        way.sent = self._lru[set_idx]
+        cache_set.append(way)
+        return way
 
     def release(self) -> None:
         """Unlink every recency list, the cache's only reference cycles.
@@ -579,16 +642,14 @@ class SetAssocCache:
         unpartitioned set evicts the list head (the LRU frame); the
         partitioned scans walk from the LRU end and stop at the first
         frame of the wanted class (only valid frames are linked, so no
-        validity test is needed mid-walk). Equivalent to the historical
+        validity test is needed mid-walk). A set that is not full takes
+        :meth:`_free_frame`. Equivalent to the historical
         ascending-timestamp scans — see the module docstring.
         """
         if not self.partitioned:
             if self._set_valid[set_idx] == self.n_ways:
                 return self._lru[set_idx].nxt
-            for way in cache_set:
-                if way.line is None:
-                    return way
-            return self._lru[set_idx].nxt  # pragma: no cover - guard
+            return self._free_frame(cache_set, set_idx)
         if incoming:
             count_own = self._set_remote[set_idx]
             count_other = self._set_local[set_idx]
@@ -603,13 +664,11 @@ class SetAssocCache:
                 way = way.nxt
             return way
         if self._set_valid[set_idx] < self.n_ways:
-            for way in cache_set:
-                if way.line is None:
-                    return way
+            return self._free_frame(cache_set, set_idx)
         other = 1 - incoming
         if count_other > self._quota[other]:
-            # The set is full here (no invalid frame was found above), so
-            # every way is linked and the class test alone suffices.
+            # The set is full here, so every way is linked and the class
+            # test alone suffices.
             way = self._lru[set_idx].nxt
             while way.cls != other:
                 way = way.nxt
@@ -648,6 +707,7 @@ class SetAssocCache:
             sent.prev = sent
             sent.nxt = sent
         self._where.clear()
+        self._holey.clear()
         self._set_valid = [0] * self.n_sets
         self._set_local = [0] * self.n_sets
         self._set_remote = [0] * self.n_sets
@@ -674,6 +734,7 @@ class SetAssocCache:
         mask = self._set_mask
         set_idx = line & mask if mask is not None else line % self.n_sets
         self._set_valid[set_idx] -= 1
+        self._holey.add(set_idx)
         if self.partitioned:
             if way.cls:
                 self._set_remote[set_idx] -= 1
@@ -705,6 +766,7 @@ class SetAssocCache:
                 p.nxt = n
                 n.prev = p
                 set_valid[set_idx] -= 1
+                self._holey.add(set_idx)
                 if self.partitioned:
                     if cls:
                         self._set_remote[set_idx] -= 1

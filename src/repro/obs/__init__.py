@@ -1,15 +1,18 @@
 """Unified observability layer: deterministic tracing and metrics.
 
-Three pieces (see DESIGN.md, "Observability contract"):
+Four pieces (see DESIGN.md, "Observability contract"):
 
-* :mod:`repro.obs.hooks` — the prebound no-op hook-point registry.
-  Instrumented modules bind ``_obs_*`` module globals to the shared
+* :mod:`repro.obs.traced` — the per-op sites: traced subclasses of the
+  miss-path walkers, the sockets and the fabric, which a system built
+  with a tracer uses. The untraced classes carry no hook call, so
+  tracing costs nothing per op when off; the ``obs-hook-discipline``
+  lint rule keeps hook calls out of declared hot functions.
+* :mod:`repro.obs.hooks` — the registry of the cold sites (kernel
+  launches, page re-homes, lane turns): instrumented modules bind
+  ``_obs_*`` module globals to the shared
   :data:`~repro.obs.hooks.NOOP` and declare them with
   :func:`~repro.obs.hooks.register`; enabling a tracer rebinds every
-  site to a real handler, disabling restores the no-op. The disabled
-  path is a bare global call — no attribute chain, no conditional —
-  which is what the ``obs-hook-discipline`` lint rule enforces inside
-  hot functions.
+  site to a real handler, disabling restores the no-op.
 * :mod:`repro.obs.tracer` — :class:`~repro.obs.tracer.Tracer`, the
   handler set: spans and instants recorded purely in *simulated time*
   (kernel spans per socket, miss-path walker spans with hop

@@ -1,28 +1,31 @@
-"""Prebound no-op hook points: zero-overhead-when-off tracing plumbing.
+"""Hook-point registry for the cold observability sites.
 
-The problem: the simulator's hot stages (``ReadPath`` / ``WritePath``
-bodies, ``access_burst``) execute millions of times per run, and the
-usual tracing idioms — ``if self.tracer: self.tracer.on_x(...)`` or
-``self.obs.hooks.read_begin(...)`` — cost a branch or an attribute
-chain *per event even when tracing is off*. ``repro lint``'s hot-path
-rules exist precisely to keep such work out of stage bodies.
+Two kinds of site feed a tracer:
 
-The pattern used instead (enforced by the ``obs-hook-discipline``
-rule): every instrumented module binds a module-level global to the
-shared :data:`NOOP` and declares the site here::
+* **Per-op sites** — the miss-path walker stages, the burst issue loop
+  and the fabric send, which run millions of times per run. They carry
+  no hook call at all: a system built with a tracer is built from the
+  traced subclasses of :mod:`repro.obs.traced`, whose overrides call the
+  tracer around the base method, so an untraced system pays nothing per
+  op. The ``obs-hook-discipline`` lint rule flags any ``_obs_*`` call in
+  a declared hot function.
+* **Cold sites** — kernel launches, page re-homes and lane turns, which
+  fire per kernel, per migration or per turn. They keep this registry:
+  the instrumented module binds a module-level global to the shared
+  :data:`NOOP` and declares the site here::
 
-    from repro.obs.hooks import NOOP, register
+      from repro.obs.hooks import NOOP, register
 
-    _obs_read_begin = NOOP
-    register(__name__, "_obs_read_begin", "read_begin")
+      _obs_kernel_launch = NOOP
+      register(__name__, "_obs_kernel_launch", "kernel_launch")
 
-Call sites are then bare global calls — ``_obs_read_begin(self)`` — a
-single ``LOAD_GLOBAL`` plus a no-op call when disabled, with no
-conditional for the lint rules to flag. :func:`enable` rebinds every
-registered site to the matching ``on_<event>`` method of a tracer;
-:func:`disable` restores :data:`NOOP`. Tracing state is process-global
-(matching the module-global bind points), so runs are traced one at a
-time under a ``try/finally`` — exactly how the harness drives it.
+  Call sites are bare global calls — ``_obs_kernel_launch(...)``.
+  :func:`enable` rebinds every registered site to the matching
+  ``on_<event>`` method of a tracer; :func:`disable` restores
+  :data:`NOOP`. This state is process-global (matching the
+  module-global bind points), so runs are traced one at a time under a
+  ``try/finally`` — exactly how :class:`repro.gpu.system.NumaGpuSystem`
+  drives it.
 """
 
 from __future__ import annotations

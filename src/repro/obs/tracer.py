@@ -91,7 +91,7 @@ class Tracer:
             )
 
     # ------------------------------------------------------------------
-    # miss-path walkers (sim/path.py)
+    # miss-path walkers (TracedReadPath / TracedWritePath, obs/traced.py)
     # ------------------------------------------------------------------
     def on_read_begin(self, walker) -> None:
         """A ``ReadPath`` entered its L2 stage."""
@@ -146,7 +146,7 @@ class Tracer:
         )
 
     # ------------------------------------------------------------------
-    # burst aggregates (gpu/socket.py)
+    # burst aggregates (traced sockets, obs/traced.py)
     # ------------------------------------------------------------------
     def on_burst(self, socket, sm_index, now, n_hits, n_async) -> None:
         """Fold one SM issue burst into the running counters."""

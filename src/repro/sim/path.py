@@ -76,28 +76,21 @@ Stage map (stepwise handler -> walker stage, one engine event each):
 ``GpuSocket._write_at_l2``            ``WritePath.st_l2``
 ``GpuSocket._absorb_remote_write``    ``WritePath.st_absorb``
 ====================================  ==========================
+
+Tracing (DESIGN.md, "Observability contract")
+---------------------------------------------
+The stages carry no hook calls. A system built with a tracer gets the
+subclasses of :mod:`repro.obs.traced`, whose stage overrides call the
+tracer around the base stage; the prebound ``st_*`` slots bind those
+overrides, and ``_stage_reply`` reaches ``_stage_complete`` by method
+dispatch, so every span closes. The one trace cost an untraced walker
+pays is the ``t_end`` store at the end of a write.
 """
 
 from __future__ import annotations
 
 from repro.interconnect.packets import CONTROL_BYTES, DATA_BYTES
 from repro.memory.cache import NumaClass
-from repro.obs.hooks import NOOP, register
-
-# Observability hook points (repro.obs.hooks): bare module globals,
-# rebound to tracer handlers at enable time. The disabled path is one
-# LOAD_GLOBAL + no-op call per stage — no branch, no attribute chain
-# (the obs-hook-discipline lint rule pins this shape in hot bodies).
-_obs_read_begin = NOOP
-_obs_read_hop = NOOP
-_obs_read_end = NOOP
-_obs_write_begin = NOOP
-_obs_write_end = NOOP
-register(__name__, "_obs_read_begin", "read_begin")
-register(__name__, "_obs_read_hop", "read_hop")
-register(__name__, "_obs_read_end", "read_end")
-register(__name__, "_obs_write_begin", "write_begin")
-register(__name__, "_obs_write_end", "write_end")
 
 #: NumaClass instances indexed by the walkers' int class tag.
 _CLASSES = (NumaClass.LOCAL, NumaClass.REMOTE)
@@ -210,7 +203,6 @@ class ReadPath:
     # ------------------------------------------------------------------
     def _stage_l2(self) -> None:
         """Requester-side L2 probe (stepwise ``_read_at_l2``)."""
-        _obs_read_begin(self)
         s = self.socket
         line = self.line
         cls = self.cls
@@ -276,7 +268,6 @@ class ReadPath:
 
     def _stage_serve(self) -> None:
         """Home-side service of the request (stepwise ``_serve_remote_read``)."""
-        _obs_read_hop(self, "serve")
         h = self.home
         h.n_remote_reads_served += 1
         # Inlined h.l2.lookup(line) — read probe, identical counters.
@@ -339,7 +330,6 @@ class ReadPath:
 
     def _stage_reply(self) -> None:
         """Response back at the requester (stepwise ``_remote_read_response``)."""
-        _obs_read_hop(self, "reply")
         if self.holds_remote:
             packed = self.l2_fill(self.line, 1)
             if packed >= 0:
@@ -348,7 +338,6 @@ class ReadPath:
 
     def _stage_complete(self) -> None:
         """Fill waiter L1s and fire callbacks (stepwise ``_complete_read``)."""
-        _obs_read_end(self)
         line = self.line
         cls = self.cls
         rec = self.rec
@@ -421,6 +410,9 @@ class WritePath:
         "home",
         "is_local",
         "on_done",
+        # Completion cycle of the finished write (read by the traced
+        # subclass in repro.obs.traced).
+        "t_end",
         # Prebound stages.
         "st_l2",
         "st_absorb",
@@ -453,12 +445,12 @@ class WritePath:
         self.home = None
         self.is_local = True
         self.on_done = None
+        self.t_end = 0
         self.st_l2 = self._stage_l2
         self.st_absorb = self._stage_absorb
 
     def _stage_l2(self) -> None:
         """Write arrives at the requester L2 (stepwise ``_write_at_l2``)."""
-        _obs_write_begin(self)
         s = self.socket
         line = self.line
         engine = self.engine
@@ -493,7 +485,7 @@ class WritePath:
             on_done = self.on_done
             self.on_done = None
             t = engine.now + self.l2_lat
-            _obs_write_end(self, t)
+            self.t_end = t
             self.pool.append(self)
             self.push(t, on_done)
             return
@@ -523,7 +515,7 @@ class WritePath:
             on_done = self.on_done
             self.on_done = None
             t = engine.now + self.l2_lat
-            _obs_write_end(self, t)
+            self.t_end = t
             self.pool.append(self)
             self.push(t, on_done)
             return
@@ -574,7 +566,7 @@ class WritePath:
         )
         on_done = self.on_done
         self.on_done = None
-        _obs_write_end(self, arrival)
+        self.t_end = arrival
         self.pool.append(self)
         self.push(arrival, on_done)
 

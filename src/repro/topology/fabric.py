@@ -48,16 +48,10 @@ from repro.interconnect.link import Direction, DuplexLink
 from repro.interconnect.packets import PacketKind, packet_bytes
 from repro.locality.distance import DistanceModel
 from repro.metrics.report import EdgeStats
-from repro.obs.hooks import NOOP, register
 from repro.sim.engine import Engine
 from repro.sim.stats import StatGroup, flatten_slots
 from repro.topology.routing import compute_routes
 from repro.topology.spec import TopologySpec, crossbar, is_crossbar
-
-# Observability hook point (repro.obs.hooks): one event per routed
-# fabric packet, with the route's real hop count.
-_obs_fabric_send = NOOP
-register(__name__, "_obs_fabric_send", "fabric_send")
 
 
 class EdgeLink(DuplexLink):
@@ -264,9 +258,7 @@ class MultiHopFabric:
             t = done + latency
         self.n_packets += 1
         self.n_bytes += nbytes
-        hops = self._route_hops[src][dst]
-        self._hop_hist[hops] += 1
-        _obs_fabric_send(src, dst, nbytes, now, t, hops)
+        self._hop_hist[self._route_hops[src][dst]] += 1
         return t
 
     # ------------------------------------------------------------------
@@ -358,7 +350,11 @@ class MultiHopFabric:
         )
 
 
-def build_fabric(config: SystemConfig, engine: Engine):
+def build_fabric(
+    config: SystemConfig,
+    engine: Engine,
+    fabric_type: type[MultiHopFabric] = MultiHopFabric,
+):
     """The single fabric-or-none decision for one system config.
 
     A single-socket system has **no fabric** (``None``): all traffic is
@@ -377,7 +373,9 @@ def build_fabric(config: SystemConfig, engine: Engine):
 
     The ``DOUBLED`` link policy scales per-edge lane bandwidth exactly
     as it scaled the per-socket link before
-    (:func:`repro.core.link_policy.effective_edge_link`).
+    (:func:`repro.core.link_policy.effective_edge_link`). ``fabric_type``
+    is the class built: the traced fabric of :mod:`repro.obs.traced`
+    subclasses :class:`MultiHopFabric`.
     """
     if config.n_sockets < 2:
         return None
@@ -402,8 +400,8 @@ def build_fabric(config: SystemConfig, engine: Engine):
                 )
             link = effective_edge_link(config, next(iter(links)))
         star = crossbar(config.n_sockets, replace(link, latency=link.latency // 2))
-        return MultiHopFabric(star, engine)
+        return fabric_type(star, engine)
     edge_links = tuple(
         effective_edge_link(config, edge.link) for edge in topo.edges
     )
-    return MultiHopFabric(topo, engine, edge_links=edge_links)
+    return fabric_type(topo, engine, edge_links=edge_links)

@@ -73,6 +73,14 @@ def test_link_validation():
         LinkConfig(lane_bandwidth=0)
 
 
+def test_negative_min_lanes_is_rejected():
+    # min_lanes=-1 used to pass, and the balancer could then turn a
+    # direction down to -1 lanes (negative bandwidth).
+    with pytest.raises(ConfigError, match="min_lanes must be >= 0"):
+        LinkConfig(min_lanes=-1)
+    assert LinkConfig(min_lanes=0).min_lanes == 0
+
+
 def test_system_needs_a_socket():
     with pytest.raises(ConfigError):
         SystemConfig(n_sockets=0)
@@ -366,6 +374,66 @@ def test_every_config_field_changes_the_digest():
     assert visited == _config_type_closure()
     assert checked == leaves, sorted(
         f"{owner.__name__}.{name}" for owner, name in leaves - checked
+    )
+
+
+#: Config leaves with no invalid value, each with the reason. Every
+#: other leaf must reject at least one value of its type with a
+#: ConfigError (see test_every_config_leaf_has_a_rule).
+_ANY_VALUE_IS_VALID = {
+    # Enums: every member is a modelled design point.
+    ("SystemConfig", "cache_arch"),
+    ("SystemConfig", "link_policy"),
+    ("SystemConfig", "l2_write_policy"),
+    # Switches: both settings are modelled.
+    ("SystemConfig", "coherence_invalidations"),
+    ("PlacementSpec", "read_shared_filter"),
+    # A label: it names the topology in reports and nothing else.
+    ("TopologySpec", "name"),
+}
+
+
+def _invalid_candidates(value):
+    """Values of ``value``'s type that a checked leaf should reject."""
+    import enum as _enum
+
+    if isinstance(value, (bool, _enum.Enum)):
+        return []
+    if isinstance(value, int):
+        return [-1, 0]
+    if isinstance(value, float):
+        return [-1.0, 0.0, float("nan")]
+    if isinstance(value, str):
+        return ["", "no_such_name"]
+    return [(), value + value[:1]]  # a tuple of node names: empty, repeated
+
+
+def test_every_config_leaf_has_a_rule():
+    """No config leaf ships unchecked.
+
+    Walks the same leaves as the digest test. Each leaf must reject one
+    of its type's usual bad values (negative or zero numbers, NaN, an
+    empty or unknown name, an empty or repeated node tuple) with a
+    ``ConfigError``, or be listed in :data:`_ANY_VALUE_IS_VALID` with
+    its reason. The list must stay current: a listed leaf that gains a
+    rule fails here too.
+    """
+    visited: set[type] = set()
+    leaves: set[tuple[str, str]] = set()
+    ruled: set[tuple[str, str]] = set()
+    for base in (paper_config(), _filled_config()):
+        for owner, name, path, value in _walk_fields(base, visited):
+            key = (owner.__name__, name)
+            leaves.add(key)
+            for candidate in _invalid_candidates(value):
+                try:
+                    _replace_at(base, path, candidate)
+                except ConfigError:
+                    ruled.add(key)
+                    break
+    assert visited == _config_type_closure()
+    assert leaves - ruled == _ANY_VALUE_IS_VALID, sorted(
+        (leaves - ruled) ^ _ANY_VALUE_IS_VALID
     )
 
 

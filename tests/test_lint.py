@@ -224,11 +224,15 @@ def test_obs_tracer_conditional_guard_is_flagged(tmp_path):
         "    return total\n"
     )
     findings = _lint(tmp_path, rules=("obs-hook-discipline",))
-    assert len(findings) == 1
-    assert "conditional on 'tracer'" in findings[0].message
+    messages = sorted(f.message for f in findings)
+    assert len(messages) == 2
+    assert "conditional on 'tracer'" in messages[0]
+    assert "prebound hook call '_obs_read'" in messages[1]
 
 
-def test_obs_prebound_noop_call_is_clean(tmp_path):
+def test_obs_prebound_noop_call_in_hot_function_is_flagged(tmp_path):
+    # Even bound to NOOP, a hook call costs a call per op when tracing
+    # is off; per-op tracing belongs in a traced subclass.
     (tmp_path / "mod.py").write_text(
         "from repro.obs.hooks import NOOP\n"
         "_obs_read = NOOP\n"
@@ -239,6 +243,23 @@ def test_obs_prebound_noop_call_is_clean(tmp_path):
         "        _obs_read(item)\n"
         "        total += item\n"
         "    return total\n"
+    )
+    findings = _lint(tmp_path, rules=("obs-hook-discipline",))
+    assert len(findings) == 1
+    assert "prebound hook call '_obs_read'" in findings[0].message
+    assert findings[0].symbol == "drain"
+
+
+def test_obs_prebound_noop_call_in_cold_function_is_clean(tmp_path):
+    # The cold sites (per kernel, per migration, per turn) keep the
+    # registry's prebound NOOP globals.
+    (tmp_path / "mod.py").write_text(
+        "from repro.obs.hooks import NOOP\n"
+        "_obs_launch = NOOP\n"
+        "\n"
+        "def launch(kernel):\n"
+        "    _obs_launch(kernel)\n"
+        "    return kernel\n"
     )
     assert _lint(tmp_path, rules=("obs-hook-discipline",)) == []
 

@@ -13,12 +13,17 @@ The headline guarantees:
 """
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import CacheArch
+from repro.config import CacheArch, LinkPolicy, scaled_config
 from repro.core.builder import build_system, run_workload_on, run_workload_traced
+from repro.gpu.socket import GpuSocket, LocalGpuSocket
 from repro.harness.runner import ExperimentContext
+from repro.locality.spec import CTA_KINDS, PLACEMENT_KINDS, CtaSpec, PlacementSpec
 from repro.metrics.export import result_to_json_dict
 from repro.obs import NOOP, Tracer, is_enabled
 from repro.obs import hooks as obs_hooks
@@ -31,7 +36,9 @@ from repro.obs.chrome import (
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.workloads.spec import SCALES
+from repro.topology.fabric import MultiHopFabric
+from repro.topology.spec import build_topology
+from repro.workloads.spec import SCALES, WorkloadScale
 from repro.workloads.suite import get_workload
 
 TINY = SCALES["tiny"]
@@ -72,6 +79,61 @@ def test_traced_run_result_matches_untraced():
         json.dumps(result_to_json_dict(result), sort_keys=True)
         == json.dumps(result_to_json_dict(untraced), sort_keys=True)
     )
+
+
+#: A scale small enough for a few dozen drawn runs per test session.
+_FUZZ_SCALE = WorkloadScale(
+    name="obs-fuzz", cta_cap=8, footprint_lines=512, ops_scale=0.1
+)
+
+
+@st.composite
+def _small_configs(draw):
+    """1-8 sockets, any L2 organization, static or dynamic links, any
+    placement and CTA policy, on the crossbar or (3+ sockets) a ring."""
+    n_sockets = draw(st.integers(1, 8))
+    config = scaled_config(n_sockets=n_sockets, sms_per_socket=2)
+    changes = {
+        "cache_arch": draw(st.sampled_from(list(CacheArch))),
+        "link_policy": draw(
+            st.sampled_from([LinkPolicy.STATIC, LinkPolicy.DYNAMIC])
+        ),
+        "placement_spec": PlacementSpec(
+            kind=draw(st.sampled_from(PLACEMENT_KINDS))
+        ),
+        "cta_spec": CtaSpec(kind=draw(st.sampled_from(CTA_KINDS))),
+    }
+    if n_sockets >= 3 and draw(st.booleans()):
+        changes["topology"] = build_topology("ring", n_sockets, config.link)
+    return replace(config, **changes)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    _small_configs(),
+    st.sampled_from(["Rodinia-BFS", "Rodinia-Hotspot", "HPC-RSBench"]),
+)
+def test_traced_run_equals_untraced_over_drawn_configs(config, name):
+    # A tracer with no sampler only observes: over drawn configs, the
+    # traced system (traced sockets, walkers and fabric) must produce a
+    # byte-identical RunResult to the untraced one, which is built from
+    # the plain classes.
+    workload = get_workload(name)
+    untraced, plain = run_workload_traced(config, workload, _FUZZ_SCALE)
+    tracer = Tracer()
+    traced, system = run_workload_traced(
+        config, workload, _FUZZ_SCALE, tracer=tracer, metrics_interval=0
+    )
+    assert (
+        json.dumps(result_to_json_dict(traced), sort_keys=True)
+        == json.dumps(result_to_json_dict(untraced), sort_keys=True)
+    )
+    assert {type(s) for s in plain.sockets} <= {GpuSocket, LocalGpuSocket}
+    assert plain.fabric is None or type(plain.fabric) is MultiHopFabric
+    assert all(s.tracer is tracer for s in system.sockets)
+    assert tracer.n_bursts > 0 and tracer.read_spans
+    if config.n_sockets > 1:
+        assert system.fabric.tracer is tracer
 
 
 @pytest.mark.xfail(strict=True, reason=(
