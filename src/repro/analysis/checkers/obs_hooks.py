@@ -4,22 +4,27 @@ Tracing costs nothing per op when off (DESIGN.md "Observability
 contract") because the per-op paths carry no hook call at all: a
 system built with a tracer is built from the traced subclasses of
 :mod:`repro.obs.traced`, which call the tracer around the base method.
-Only the cold sites (kernel launches, re-homes, lane turns) keep a
-prebound ``_obs_* = NOOP`` global from :mod:`repro.obs.hooks`.
+Only the cold sites (kernel launches, re-homes, lane turns) call the
+tracer inline, guarded by ``if self.tracer is not None:`` on the
+owner's ``tracer`` attribute, and none of them is a hot function.
 
 This checker keeps it that way inside the declared hot functions (the
 same :data:`~repro.analysis.checkers.hotpath.HOT_FUNCTIONS` registry plus
 ``# repro-lint: hot`` markers the hot-path checker uses):
 
-* calling a prebound hook (``_obs_read_begin(self)``) is flagged — even
-  disabled, it is a global load and a no-op call per op;
+* calling a prebound module-global hook (``_obs_read_begin(self)``) is
+  flagged — even bound to a no-op, it is a global load and a call per
+  op;
 * calling a hook through an attribute chain (``self.tracer.on_read(...)``,
   ``obs_hooks.enable(...)``, ``hooks.NOOP(...)``) is flagged;
 * guarding a hook with a conditional (``if tracer is not None:``,
   ``if _obs_read is not NOOP:``, ``if is_enabled():``) is flagged — a
   branch per op is a cost when off too.
 
-Move the hook into a traced subclass instead.
+The ``_obs*``, ``hooks``, ``NOOP`` and ``is_enabled`` names are those of
+the process-global hook registry this package used to have; they stay
+flagged so that no such hook comes back. Move the hook into a traced
+subclass instead.
 """
 
 from __future__ import annotations

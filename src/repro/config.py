@@ -139,8 +139,11 @@ class LinkConfig:
             raise ConfigError(f"min_lanes must be >= 0, got {self.min_lanes}")
         if self.lanes_per_direction < self.min_lanes:
             raise ConfigError("lanes_per_direction below min_lanes")
-        if self.lane_bandwidth <= 0:
-            raise ConfigError("lane_bandwidth must be positive")
+        # Written so that NaN, for which every comparison is False, fails.
+        if not self.lane_bandwidth > 0:
+            raise ConfigError(
+                f"lane_bandwidth must be positive, got {self.lane_bandwidth}"
+            )
         if self.latency < 0:
             raise ConfigError(f"link latency must be >= 0, got {self.latency}")
 

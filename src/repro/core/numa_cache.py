@@ -24,12 +24,12 @@ from repro.config import ControllerConfig
 from repro.gpu.socket import GpuSocket
 from repro.interconnect.link import Direction
 from repro.interconnect.packets import DATA_BYTES
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, PeriodicService
 from repro.sim.resource import UtilizationWindow
 from repro.sim.stats import StatGroup, TimeSeries
 
 
-class CachePartitionController:
+class CachePartitionController(PeriodicService):
     """Per-socket dynamic way-partitioning of L1 and L2 caches."""
 
     def __init__(
@@ -40,18 +40,16 @@ class CachePartitionController:
         config: ControllerConfig,
         record_timeline: bool = False,
     ) -> None:
+        super().__init__(engine, config.cache_sample_time)
         self.socket = socket
         #: the socket's bandwidth view: its crossbar DuplexLink, or the
         #: fabric's aggregate monitor port over the incident edges on a
         #: multi-hop topology (anything with ``bandwidth(direction)``).
         self.link = link
-        self.engine = engine
-        self.sample_time = config.cache_sample_time
         self.threshold = config.saturation_threshold
         self.stats = StatGroup(f"cache_ctl{socket.socket_id}")
         self._dram_window = UtilizationWindow(socket.dram.resource)
         self._last_remote_reads = 0
-        self._active = False
         n_ways = socket.l2.n_ways
         self._local_ways = n_ways - n_ways // 2
         self._remote_ways = n_ways // 2
@@ -62,17 +60,6 @@ class CachePartitionController:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Begin periodic sampling (idempotent)."""
-        if self._active:
-            return
-        self._active = True
-        self.engine.schedule(self.sample_time, self._sample)
-
-    def stop(self) -> None:
-        """Stop sampling after the pending period fires."""
-        self._active = False
-
     def on_kernel_launch(self) -> None:
         """Step 0: reset to the half/half split at kernel launch."""
         n_ways = self.socket.l2.n_ways
@@ -88,9 +75,8 @@ class CachePartitionController:
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
-    def _sample(self) -> None:
-        if not self._active:
-            return
+    def sample(self) -> None:
+        """Steps 1-5 for one sample period."""
         now = self.engine.now
         dram_util = self._dram_window.sample(now)
         inter_util = self._estimate_incoming_utilization(now)
@@ -98,7 +84,6 @@ class CachePartitionController:
         self.stats.add("samples")
         if self.timeline is not None:
             self.timeline.record(now, float(self._remote_ways))
-        self.engine.schedule(self.sample_time, self._sample)
 
     def _estimate_incoming_utilization(self, now: int) -> float:
         """Step 1: projected ingress utilization from outgoing read rate."""
@@ -106,7 +91,7 @@ class CachePartitionController:
         delta = remote_reads - self._last_remote_reads
         self._last_remote_reads = remote_reads
         expected_bytes = delta * DATA_BYTES
-        capacity = self.link.bandwidth(Direction.INGRESS) * self.sample_time
+        capacity = self.link.bandwidth(Direction.INGRESS) * self.period
         if capacity <= 0:
             return 0.0
         return min(1.0, expected_bytes / capacity)

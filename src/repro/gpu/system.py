@@ -19,7 +19,6 @@ from repro.gpu.socket import make_socket
 from repro.locality.cta import build_cta_policy
 from repro.locality.distance import DistanceModel
 from repro.memory.page_table import PageTable
-from repro.obs import hooks as obs_hooks
 from repro.obs.metrics import MetricRegistry
 from repro.topology.fabric import build_fabric
 from repro.metrics.report import RunResult, collect_results
@@ -64,17 +63,16 @@ class NumaGpuSystem:
         self.record_timelines = record_timelines
         #: a repro.obs.tracer.Tracer, or None. A traced system is built
         #: from the traced sockets, walkers and fabric of
-        #: repro.obs.traced (the per-op sites), and binds the tracer
-        #: into the registry's cold hook sites for the duration of
-        #: run(). Untraced, no hook runs per op and nothing extra is
-        #: scheduled or stored, so results are byte-identical to
-        #: pre-observability runs.
+        #: repro.obs.traced (the per-op sites), and hands the tracer to
+        #: the owners of the cold sites: its fabric links, its placement
+        #: policy and each run's launcher. Untraced, no repro.obs code
+        #: runs and nothing extra is scheduled or stored, so results are
+        #: byte-identical to pre-observability runs.
         self.tracer = tracer
-        self.metrics: MetricRegistry | None = None
-        self._metrics_interval = metrics_interval
-        if tracer is not None and metrics_interval > 0:
-            self.metrics = MetricRegistry()
         self.engine = Engine()
+        self.metrics: MetricRegistry | None = None
+        if tracer is not None and metrics_interval > 0:
+            self.metrics = MetricRegistry(self.engine, metrics_interval)
         self.page_table = PageTable(config)
         self.uvm = UvmManager(self.page_table)
         # The fabric-or-none decision lives in one documented helper
@@ -94,6 +92,7 @@ class NumaGpuSystem:
             self.fabric, self.sockets = build_traced(
                 config, self.engine, self.page_table, tracer
             )
+            self.page_table.policy.tracer = tracer
         if self.fabric is not None:
             self.fabric.owners = list(self.sockets)
         # The locality layer: the fabric's distance model feeds both the
@@ -131,8 +130,12 @@ class NumaGpuSystem:
                 )
                 for socket in self.sockets
             ]
+        #: every periodic service, in start order: same-cycle events run
+        #: in insertion order, so this order is part of the results.
+        self.services = [*self.cache_controllers, *self.balancers]
         if self.metrics is not None:
             _wire_default_metrics(self.metrics, self)
+            self.services.append(self.metrics)
         self._launcher: Launcher | None = None
 
     def __del__(self) -> None:
@@ -153,33 +156,12 @@ class NumaGpuSystem:
         self.page_table.policy.detach()
 
     # ------------------------------------------------------------------
-    # observability (DESIGN.md, "Observability contract")
-    # ------------------------------------------------------------------
-    def _obs_enable(self) -> None:
-        """Bind the tracer into the cold hook sites; start the sampler."""
-        if self.tracer is None:
-            return
-        obs_hooks.enable(self.tracer)
-        if self.metrics is not None and not self.metrics.active:
-            self.metrics.start(self.engine, self._metrics_interval)
-
-    def _obs_disable(self) -> None:
-        """Finish the registry and restore every hook site to NOOP."""
-        if self.tracer is None:
-            return
-        if self.metrics is not None:
-            self.metrics.finish()
-        obs_hooks.disable()
-
-    # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def run(self, kernels: list[KernelWork], workload_name: str = "") -> RunResult:
         """Execute a kernel sequence to completion and collect results."""
-        for controller in self.cache_controllers:
-            controller.start()
-        for balancer in self.balancers:
-            balancer.start()
+        for service in self.services:
+            service.start()
         self._launcher = Launcher(
             engine=self.engine,
             sockets=self.sockets,
@@ -188,13 +170,14 @@ class NumaGpuSystem:
             launch_latency=self.config.kernel_launch_latency,
             on_kernel_launch=self._on_kernel_launch,
             on_workload_done=self._on_workload_done,
+            tracer=self.tracer,
         )
-        self._obs_enable()
         try:
             self._launcher.begin()
             self._drain()
         finally:
-            self._obs_disable()
+            if self.metrics is not None:
+                self.metrics.finish()
         if not self._launcher.finished:
             # An explicit error, not an assert: ``python -O`` strips
             # asserts, and a stuck drain must never report a result.
@@ -234,14 +217,10 @@ class NumaGpuSystem:
             controller.on_kernel_launch()
 
     def _on_workload_done(self) -> None:
-        for balancer in self.balancers:
-            balancer.stop()
-        for controller in self.cache_controllers:
-            controller.stop()
-        # The metric sampler is a periodic service like the balancers:
-        # it must stop here or the engine would never drain.
-        if self.metrics is not None:
-            self.metrics.stop()
+        # Every periodic service must stop here or the engine would
+        # never drain.
+        for service in self.services:
+            service.stop()
 
     # ------------------------------------------------------------------
     # introspection

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from repro.config import ControllerConfig
 from repro.interconnect.link import Direction, DuplexLink
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, PeriodicService
 from repro.sim.stats import StatGroup, TimeSeries
 
 
-class LinkBalancer:
+class LinkBalancer(PeriodicService):
     """Per-link (socket link or topology edge) lane-assignment controller."""
 
     def __init__(
@@ -38,9 +38,8 @@ class LinkBalancer:
         record_timeline: bool = False,
         monitor_only: bool = False,
     ) -> None:
+        super().__init__(engine, config.link_sample_time)
         self.link = link
-        self.engine = engine
-        self.sample_time = config.link_sample_time
         self.switch_time = config.link_switch_time
         self.threshold = config.saturation_threshold
         #: sample (and optionally record) but never turn lanes — used to
@@ -54,18 +53,6 @@ class LinkBalancer:
             # names; topology edges record under their edge name.
             self.timeline_egress = TimeSeries(f"{link.label}.egress")
             self.timeline_ingress = TimeSeries(f"{link.label}.ingress")
-        self._active = False
-
-    def start(self) -> None:
-        """Begin periodic sampling (idempotent)."""
-        if self._active:
-            return
-        self._active = True
-        self.engine.schedule(self.sample_time, self._sample)
-
-    def stop(self) -> None:
-        """Stop sampling after the current period elapses."""
-        self._active = False
 
     def on_kernel_launch(self) -> None:
         """Reset to symmetric lanes, as the paper does at kernel launch."""
@@ -74,9 +61,8 @@ class LinkBalancer:
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
-    def _sample(self) -> None:
-        if not self._active:
-            return
+    def sample(self) -> None:
+        """Measure both directions over the elapsed window and decide."""
         now = self.engine.now
         util_egress = self.link.windows[Direction.EGRESS].sample(now)
         util_ingress = self.link.windows[Direction.INGRESS].sample(now)
@@ -87,7 +73,6 @@ class LinkBalancer:
         if not self.monitor_only:
             self._decide(util_egress, util_ingress)
         self.stats.add("samples")
-        self.engine.schedule(self.sample_time, self._sample)
 
     def _decide(self, util_egress: float, util_ingress: float) -> None:
         """Apply the Section 4 reconfiguration policy for one sample."""

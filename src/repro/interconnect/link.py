@@ -30,17 +30,9 @@ import enum
 
 from repro.config import LinkConfig
 from repro.errors import InterconnectError
-from repro.obs.hooks import NOOP, register
 from repro.sim.engine import Engine
 from repro.sim.resource import BandwidthResource, UtilizationWindow
 from repro.sim.stats import StatGroup, flatten_slots
-
-# Observability hook points (repro.obs.hooks): lane reversals and the
-# kernel-launch symmetric resets, as instants on the trace timeline.
-_obs_lane_turn = NOOP
-_obs_lane_reset = NOOP
-register(__name__, "_obs_lane_turn", "lane_turn")
-register(__name__, "_obs_lane_reset", "lane_reset")
 
 
 class Direction(enum.Enum):
@@ -73,6 +65,7 @@ class DuplexLink:
         "_pending_turns",
         "n_lane_turns",
         "n_symmetric_resets",
+        "tracer",
     )
 
     #: counter attribute -> public stats key (see repro.sim.stats); the
@@ -114,6 +107,9 @@ class DuplexLink:
         self._pending_turns = 0
         self.n_lane_turns = 0
         self.n_symmetric_resets = 0
+        #: a repro.obs.tracer.Tracer, or None: lane reversals and the
+        #: kernel-launch symmetric resets, as trace instants.
+        self.tracer = None
 
     # ------------------------------------------------------------------
     # stats
@@ -231,7 +227,8 @@ class DuplexLink:
         # cannot represent rate 0; it is unreachable until a lane returns.
         self.n_lane_turns += 1
         self._pending_turns += 1
-        _obs_lane_turn(self.label, toward.value, self.engine.now)
+        if self.tracer is not None:
+            self.tracer.on_lane_turn(self.label, toward.value, self.engine.now)
         self.engine.schedule(switch_time, self._commit_turn, toward)
 
     def _commit_turn(self, toward: Direction) -> None:
@@ -266,4 +263,5 @@ class DuplexLink:
         self._res_egress.set_rate(rate)
         self._res_ingress.set_rate(rate)
         self.n_symmetric_resets += 1
-        _obs_lane_reset(self.label, self.engine.now)
+        if self.tracer is not None:
+            self.tracer.on_lane_reset(self.label, self.engine.now)

@@ -46,14 +46,7 @@ from typing import TYPE_CHECKING
 from repro.interconnect.packets import DATA_BYTES
 from repro.locality.distance import DistanceModel
 from repro.locality.spec import PlacementSpec
-from repro.obs.hooks import NOOP, register
 from repro.sim.stats import StatGroup
-
-# Observability hook point (repro.obs.hooks): one instant per dynamic
-# page re-home. The engine may be None under unit tests; the tracer
-# tolerates it.
-_obs_page_rehome = NOOP
-register(__name__, "_obs_page_rehome", "page_rehome")
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.config import SystemConfig
@@ -82,6 +75,10 @@ class PagePolicy:
     claims_pages = False
     dynamic = False
     bills_single_socket_touch = False
+    #: a repro.obs.tracer.Tracer, or None: one instant per dynamic page
+    #: re-home. A traced system sets it; the engine handed to the tracer
+    #: may be None under unit tests, which the tracer tolerates.
+    tracer = None
 
     def __init__(self, config: "SystemConfig", spec: PlacementSpec,
                  stats: StatGroup) -> None:
@@ -245,7 +242,8 @@ class DynamicPagePolicy(PagePolicy):
         self.page_home[page] = new
         self._moves[page] = self._moves.get(page, 0) + 1
         self.stats.add("re_homes")
-        _obs_page_rehome(page, old, new, self._engine)
+        if self.tracer is not None:
+            self.tracer.on_page_rehome(page, old, new, self._engine)
         if self._page_table is not None:
             self._page_table.invalidate_page(page)
         if self._fabric is not None and self._engine is not None and old != new:

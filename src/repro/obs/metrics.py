@@ -13,11 +13,11 @@ contract"):
   counters, plain attributes. They must never call consuming probes
   such as ``UtilizationWindow.sample`` (the balancer's control loop
   depends on that window state; a registry read would perturb policy).
-* The sampler follows the ``LinkBalancer`` periodic-service pattern:
-  an ``_active`` flag checked on each tick, with one already-scheduled
-  stale tick firing (and advancing ``engine.now``) after ``stop()`` —
-  the accepted cost of periodic services. A run that never starts the
-  sampler schedules nothing, so untraced runs are byte-identical.
+* The sampler is a :class:`~repro.sim.engine.PeriodicService`, like
+  the link balancers: one already-scheduled stale tick fires (and
+  advances ``engine.now``) after ``stop()`` — the accepted cost of
+  periodic services. A run that never starts the sampler schedules
+  nothing, so untraced runs are byte-identical.
 * Counters are sampled once, at :meth:`finish` — end-of-run totals.
 """
 
@@ -25,22 +25,23 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.sim.engine import Engine, PeriodicService
 from repro.sim.stats import TimeSeries
 
 
-class MetricRegistry:
+class MetricRegistry(PeriodicService):
     """Named gauges sampled periodically in simulated time, plus counters."""
 
-    def __init__(self) -> None:
+    def __init__(self, engine: Engine, interval: int) -> None:
+        if interval <= 0:
+            raise ValueError(f"sample interval must be positive, got {interval}")
+        super().__init__(engine, interval)
         self._gauges: dict[str, Callable[[], float]] = {}
         self._counters: dict[str, Callable[[], int]] = {}
         #: one TimeSeries per gauge, filled by the sampler.
         self.series: dict[str, TimeSeries] = {}
         #: end-of-run counter totals, filled by :meth:`finish`.
         self.counters: dict[str, int] = {}
-        self._engine = None
-        self._interval = 0
-        self._active = False
 
     # ------------------------------------------------------------------
     # registration
@@ -64,41 +65,17 @@ class MetricRegistry:
     # ------------------------------------------------------------------
     # sampling
     # ------------------------------------------------------------------
-    def start(self, engine, interval: int) -> None:
-        """Begin periodic sampling every ``interval`` cycles."""
-        if interval <= 0:
-            raise ValueError(f"sample interval must be positive, got {interval}")
-        if self._active:
-            raise RuntimeError("metric sampler already started")
-        self._engine = engine
-        self._interval = interval
-        self._active = True
-        engine.schedule(interval, self._sample)
-
-    def _sample(self) -> None:
-        # Stale tick after stop(): the LinkBalancer pattern — return
-        # without rescheduling (the event itself already fired).
-        if not self._active:
-            return
-        now = self._engine.now
+    def sample(self) -> None:
+        """Record every gauge at the current cycle."""
+        now = self.engine.now
         for name, reader in self._gauges.items():
             self.series[name].record(now, float(reader()))
-        self._engine.schedule(self._interval, self._sample)
-
-    def stop(self) -> None:
-        """Stop sampling (one stale scheduled tick may still fire)."""
-        self._active = False
 
     def finish(self) -> None:
         """Stop the sampler and capture every counter's final total."""
         self.stop()
         for name, reader in self._counters.items():
             self.counters[name] = int(reader())
-
-    @property
-    def active(self) -> bool:
-        """True while the periodic sampler is scheduled."""
-        return self._active
 
     # ------------------------------------------------------------------
     # export

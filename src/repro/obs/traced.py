@@ -19,7 +19,9 @@ method; the end-of-body hooks (``write_end``, ``burst``,
 A traced system simulates exactly what an untraced one does: the
 overrides only read walker, socket and fabric state (pinned by
 ``tests/test_obs.py``). The cold sites (kernel launches, re-homes, lane
-turns) go through the registry of :mod:`repro.obs.hooks`.
+turns) need no subclass: each reads the ``tracer`` attribute of its
+owner, which :func:`build_traced` sets on every fabric link and the
+traced system sets on its placement policy and launcher.
 """
 
 from __future__ import annotations
@@ -125,6 +127,8 @@ def build_traced(
     fabric = build_fabric(config, engine, TracedFabric)
     if fabric is not None:
         fabric.tracer = tracer
+        for link in fabric.edges:
+            link.tracer = tracer
     sockets = []
     for socket_id in range(config.n_sockets):
         socket = make_socket(

@@ -25,17 +25,9 @@ from typing import Callable
 
 from repro.gpu.socket import GpuSocket
 from repro.locality.cta import CtaAssignmentPolicy
-from repro.obs.hooks import NOOP, register
 from repro.runtime.kernel import KernelWork
 from repro.sim.engine import Engine
 from repro.sim.stats import StatGroup
-
-# Observability hook points (repro.obs.hooks): per-socket kernel spans
-# open at launch and close at each socket's sub-kernel barrier.
-_obs_kernel_launch = NOOP
-_obs_subkernel_done = NOOP
-register(__name__, "_obs_kernel_launch", "kernel_launch")
-register(__name__, "_obs_subkernel_done", "subkernel_done")
 
 
 class Launcher:
@@ -56,6 +48,7 @@ class Launcher:
         launch_latency: int,
         on_kernel_launch: Callable[[int], None] | None = None,
         on_workload_done: Callable[[], None] | None = None,
+        tracer=None,
     ) -> None:
         self.engine = engine
         self.sockets = sockets
@@ -64,6 +57,9 @@ class Launcher:
         self.launch_latency = launch_latency
         self.on_kernel_launch = on_kernel_launch
         self.on_workload_done = on_workload_done
+        #: a repro.obs.tracer.Tracer, or None: per-socket kernel spans
+        #: open at launch and close at each socket's sub-kernel barrier.
+        self.tracer = tracer
         self.stats = StatGroup("launcher")
         self.kernel_launch_times: list[int] = []
         self._kernel_idx = -1
@@ -123,7 +119,10 @@ class Launcher:
         self._pending_ctas = {
             socket.socket_id: len(block) for socket, block in populated
         }
-        _obs_kernel_launch(self._kernel_idx, kernel.name, self.engine.now, populated)
+        if self.tracer is not None:
+            self.tracer.on_kernel_launch(
+                self._kernel_idx, kernel.name, self.engine.now, populated
+            )
         if not populated:
             self.engine.schedule(self.launch_latency, self._launch_next)
             return
@@ -132,7 +131,8 @@ class Launcher:
             socket.start_subkernel(ctas, self._subkernel_done)
 
     def _subkernel_done(self, socket_id: int) -> None:
-        _obs_subkernel_done(socket_id, self.engine.now)
+        if self.tracer is not None:
+            self.tracer.on_subkernel_done(socket_id, self.engine.now)
         del self._pending_ctas[socket_id]
         if not self._pending_ctas:
             self.stats.add("kernels_completed")

@@ -347,3 +347,41 @@ class Engine:
                 time += 1
             return time
         return self._times[0] if self._times else None
+
+
+class PeriodicService:
+    """A service that samples every ``period`` cycles on one engine.
+
+    The link balancers, the cache partition controllers and the metric
+    sampler are all "sample, act, resample" loops; subclasses supply
+    only :meth:`sample`. :meth:`start` schedules the first tick
+    (idempotent). :meth:`stop` only clears the active flag: the engine
+    has no cancellation, so the one tick already scheduled still fires
+    as a stale tick that samples nothing and reschedules nothing.
+    """
+
+    def __init__(self, engine: Engine, period: int) -> None:
+        self.engine = engine
+        self.period = period
+        self._active = False
+
+    def start(self) -> None:
+        """Begin periodic sampling (idempotent)."""
+        if self._active:
+            return
+        self._active = True
+        self.engine.schedule(self.period, self._tick)
+
+    def stop(self) -> None:
+        """Stop sampling; the pending tick fires stale."""
+        self._active = False
+
+    def _tick(self) -> None:
+        if not self._active:
+            return
+        self.sample()
+        self.engine.schedule(self.period, self._tick)
+
+    def sample(self) -> None:
+        """One period's work (subclasses override)."""
+        raise NotImplementedError

@@ -415,12 +415,13 @@ def test_every_config_leaf_has_a_rule():
     of its type's usual bad values (negative or zero numbers, NaN, an
     empty or unknown name, an empty or repeated node tuple) with a
     ``ConfigError``, or be listed in :data:`_ANY_VALUE_IS_VALID` with
-    its reason. The list must stay current: a listed leaf that gains a
+    its reason. Every float leaf must reject NaN in particular. The list must stay current: a listed leaf that gains a
     rule fails here too.
     """
     visited: set[type] = set()
     leaves: set[tuple[str, str]] = set()
     ruled: set[tuple[str, str]] = set()
+    accepts_nan: set[tuple[str, str]] = set()
     for base in (paper_config(), _filled_config()):
         for owner, name, path, value in _walk_fields(base, visited):
             key = (owner.__name__, name)
@@ -431,10 +432,19 @@ def test_every_config_leaf_has_a_rule():
                 except ConfigError:
                     ruled.add(key)
                     break
+            # Every float leaf must reject NaN itself: a ``<= 0`` check
+            # lets it through, since every comparison with NaN is False.
+            if isinstance(value, float):
+                try:
+                    _replace_at(base, path, float("nan"))
+                except ConfigError:
+                    continue
+                accepts_nan.add(key)
     assert visited == _config_type_closure()
     assert leaves - ruled == _ANY_VALUE_IS_VALID, sorted(
         (leaves - ruled) ^ _ANY_VALUE_IS_VALID
     )
+    assert accepts_nan == set(), sorted(accepts_nan)
 
 
 def test_digest_is_stable_and_order_free():

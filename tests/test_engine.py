@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.errors import SchedulingError
-from repro.sim.engine import RING_SIZE, Engine
+from repro.sim.engine import RING_SIZE, Engine, PeriodicService
 
 
 def test_starts_at_time_zero():
@@ -360,3 +360,89 @@ def test_only_the_engine_knows_the_ring_layout():
     }
     assert offenders == {}
     assert _ring_references(engine)  # the scan does see the layout
+
+
+# ---------------------------------------------------------------------------
+# periodic services
+# ---------------------------------------------------------------------------
+
+def _link_balancer(engine, period):
+    from repro.config import ControllerConfig, LinkConfig
+    from repro.interconnect.balancer import LinkBalancer
+    from repro.interconnect.link import DuplexLink
+
+    link = DuplexLink(0, LinkConfig(), engine)
+    return LinkBalancer(
+        link, engine, ControllerConfig(link_sample_time=period)
+    )
+
+
+def _cache_controller(engine, period):
+    from dataclasses import replace
+
+    from repro.config import CacheArch, ControllerConfig, scaled_config
+    from repro.core.numa_cache import CachePartitionController
+    from repro.gpu.socket import GpuSocket
+    from repro.memory.page_table import PageTable
+    from repro.topology.fabric import build_fabric
+
+    config = replace(
+        scaled_config(n_sockets=2, sms_per_socket=2),
+        cache_arch=CacheArch.NUMA_AWARE,
+        controllers=ControllerConfig(cache_sample_time=period),
+    )
+    fabric = build_fabric(config, engine)
+    socket = GpuSocket(0, config, engine, PageTable(config), fabric)
+    return CachePartitionController(
+        socket, fabric.monitor_port(0), engine, config.controllers
+    )
+
+
+def _metric_sampler(engine, period):
+    from repro.obs.metrics import MetricRegistry
+
+    registry = MetricRegistry(engine, period)
+    registry.gauge("now", lambda: engine.now)
+    return registry
+
+
+@pytest.mark.parametrize(
+    "build", [_link_balancer, _cache_controller, _metric_sampler],
+    ids=["link_balancer", "cache_controller", "metric_sampler"],
+)
+def test_periodic_service_protocol(build):
+    # The start/stop protocol every periodic service shares: start is
+    # idempotent, and after stop() exactly the one tick already queued
+    # fires, stale: it samples nothing and schedules nothing, so the
+    # engine drains one period later.
+    engine = Engine()
+    service = build(engine, 100)
+    assert isinstance(service, PeriodicService)
+    sampled = []
+    real_sample = service.sample
+
+    def sample():
+        sampled.append(engine.now)
+        real_sample()
+
+    service.sample = sample
+    service.start()
+    service.start()
+    assert engine.pending_events == 1
+    engine.run(until=250)
+    assert sampled == [100, 200]
+    assert engine.pending_events == 1
+    service.stop()
+    events = engine.events_processed
+    assert engine.run() == 300
+    assert engine.events_processed == events + 1
+    assert sampled == [100, 200]
+    assert engine.pending_events == 0
+
+
+def test_metric_sampler_needs_a_positive_interval():
+    from repro.obs.metrics import MetricRegistry
+
+    for interval in (0, -5):
+        with pytest.raises(ValueError):
+            MetricRegistry(Engine(), interval)

@@ -5,15 +5,17 @@ The headline guarantees:
 * **Determinism** — two traced runs of the same config serialize to
   byte-identical Chrome payloads.
 * **Zero overhead when off** — an untraced run's RunResult is
-  byte-identical to a traced run's (no sampler), and every hook site
-  is restored to NOOP once a traced run finishes.
+  byte-identical to a traced run's (no sampler), and an untraced run
+  calls no ``repro.obs`` code at all.
 * **Loadable output** — every exporter produces payloads that pass the
   Chrome-trace structural validation, and the wall-clock study trace
   strips to a deterministic remainder.
 """
 
 import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,8 @@ from repro.gpu.socket import GpuSocket, LocalGpuSocket
 from repro.harness.runner import ExperimentContext
 from repro.locality.spec import CTA_KINDS, PLACEMENT_KINDS, CtaSpec, PlacementSpec
 from repro.metrics.export import result_to_json_dict
-from repro.obs import NOOP, Tracer, is_enabled
-from repro.obs import hooks as obs_hooks
+import repro.obs
+from repro.obs import Tracer
 from repro.obs.chrome import (
     TRACE_SCHEMA,
     canonical_json,
@@ -154,30 +156,36 @@ def test_sampled_run_cycles_match_untraced():
 # zero overhead when off
 # ---------------------------------------------------------------------------
 
-def test_hook_sites_restored_to_noop_after_traced_run():
-    run_workload_traced(
-        _config(), get_workload(WORKLOAD), TINY, tracer=Tracer()
-    )
-    assert not is_enabled()
-    import sys
+def test_untraced_run_calls_no_obs_code():
+    # Every cold site (kernel launch and barrier, lane turn and reset,
+    # page re-home) reads its owner's tracer attribute, which is None
+    # untraced: building and running an untraced system must enter no
+    # function of the repro.obs package, not even a no-op.
+    ctx = ExperimentContext(scale=TINY)
+    configs = [
+        ctx.config_combined(),
+        ctx.config_locality_policy("access_counter_migration"),
+    ]
+    obs_dir = str(Path(repro.obs.__file__).resolve().parent)
+    entered = []
 
-    for module_name, attr, _event in obs_hooks.sites():
-        assert getattr(sys.modules[module_name], attr) is NOOP, (
-            module_name, attr,
-        )
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(obs_dir):
+            entered.append(frame.f_code.co_name)
 
-
-def test_enable_is_exclusive():
-    tracer = Tracer()
-    obs_hooks.enable(tracer)
+    workload = get_workload(WORKLOAD)
+    results = []
+    sys.setprofile(profile)
     try:
-        with pytest.raises(RuntimeError):
-            obs_hooks.enable(Tracer())
-        assert is_enabled()
+        for config in configs:
+            results.append(run_workload_on(config, workload, TINY))
     finally:
-        obs_hooks.disable()
-    assert not is_enabled()
-    obs_hooks.disable()  # idempotent
+        sys.setprofile(None)
+    assert entered == []
+    # The runs do reach every cold site.
+    assert all(r.kernels for r in results)
+    assert sum(r.total_lane_turns for r in results) > 0
+    assert sum(r.re_homed_pages for r in results) > 0
 
 
 # ---------------------------------------------------------------------------
